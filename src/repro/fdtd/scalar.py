@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +78,20 @@ class WaveSource:
             raise ValueError(f"logic value must be 0 or 1, got {value!r}")
         return cls(mask=mask, amplitude=amplitude,
                    phase=math.pi if value else 0.0)
+
+
+def neighbour_sum(framed: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum of the four nearest neighbours of every interior cell.
+
+    ``framed`` is a plane with a one-cell frame, ``(ny + 2, nx + 2)``;
+    the result is ``(ny, nx)``.  A zero frame makes the edge cells see
+    zero beyond the canvas instead of the opposite edge.
+    """
+    out = np.add(framed[:-2, 1:-1], framed[2:, 1:-1], out=out)
+    out += framed[1:-1, :-2]
+    out += framed[1:-1, 2:]
+    return out
 
 
 class ScalarWaveSimulator:
@@ -148,6 +162,7 @@ class ScalarWaveSimulator:
         self.speed = frequency * wavelength
         self.dt = courant * dx / self.speed
         self.sources: List[WaveSource] = []
+        self._source_cells: List[Tuple[np.ndarray, ...]] = []
 
         gamma_bulk = 0.0 if math.isinf(damping_time) else 1.0 / damping_time
         self.gamma = np.full(mask.shape, gamma_bulk)
@@ -155,8 +170,14 @@ class ScalarWaveSimulator:
             self._add_absorbers(absorber_width, absorber_sides)
         self.gamma[~mask] = 0.0
 
-        self.u = np.zeros(mask.shape)
-        self.u_prev = np.zeros(mask.shape)
+        # Both field planes live inside zero frames, so every cell has
+        # four neighbours as plain slices, and each step writes the new
+        # plane over the oldest one.
+        self._frame = np.zeros((self.ny + 2, self.nx + 2))
+        self._frame_prev = np.zeros((self.ny + 2, self.nx + 2))
+        self.u = self._frame[1:-1, 1:-1]
+        self.u_prev = self._frame_prev[1:-1, 1:-1]
+        self._scratch = np.empty(mask.shape)
         self.t = 0.0
         self.step_count = 0
         self.progress = progress
@@ -164,20 +185,22 @@ class ScalarWaveSimulator:
         self.watchdog = watchdog
         self.checkpoint = checkpoint
         self._n_cells = int(mask.sum())
-        self._laplacian_scale = (self.speed * self.dt / dx) ** 2
-        # Shifted neighbour masks with wrap-around explicitly forbidden
-        # (np.roll alone would couple opposite canvas edges).
-        self._neighbour_masks = {}
-        for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-            shifted = np.roll(self.mask, shift, axis=axis)
-            edge_index = [slice(None)] * 2
-            edge_index[axis] = 0 if shift == 1 else -1
-            shifted[tuple(edge_index)] = False
-            self._neighbour_masks[(axis, shift)] = shifted
-        masks = self._neighbour_masks
-        self._neighbour_count = (masks[(0, 1)].astype(float)
-                                 + masks[(0, -1)] + masks[(1, 1)]
-                                 + masks[(1, -1)])
+
+        # The damped leapfrog update
+        #   (1 + G dt) u_new = 2 u - (1 - G dt) u_prev + (c dt / dx)^2 lap u
+        # with lap u = (sum of the in-mask neighbours) - (their count) u,
+        # rewritten as u_new = cu * u + cp * u_prev + cn * neighbour_sum.
+        # The coefficients are zero off the mask, so the field stays zero
+        # there and the plain neighbour sum only ever adds in-mask cells.
+        framed_mask = np.zeros((self.ny + 2, self.nx + 2))
+        framed_mask[1:-1, 1:-1] = mask
+        n_neighbours = neighbour_sum(framed_mask)
+        c2 = (self.speed * self.dt / dx) ** 2
+        damp = self.gamma * self.dt
+        scale = mask / (1.0 + damp)
+        self._coef_u = (2.0 - c2 * n_neighbours) * scale
+        self._coef_prev = -(1.0 - damp) * scale
+        self._coef_neighbours = c2 * scale
 
     # -- construction helpers -----------------------------------------------------
 
@@ -220,10 +243,15 @@ class ScalarWaveSimulator:
         self.gamma = np.maximum(self.gamma, gamma_max * ramp)
 
     def add_source(self, source: WaveSource) -> None:
-        """Register a drive; source cells are forced additively."""
+        """Register a drive; source cells are forced additively.
+
+        Source cells off the waveguide mask are not driven: the field
+        is held at zero there.
+        """
         if source.mask.shape != self.mask.shape:
             raise ValueError("source mask shape mismatch")
         self.sources.append(source)
+        self._source_cells.append(np.nonzero(source.mask & self.mask))
 
     def point_source_mask(self, x: float, y: float,
                           radius: float = None) -> np.ndarray:
@@ -251,7 +279,7 @@ class ScalarWaveSimulator:
         """
         omega = 2.0 * math.pi * self.frequency
         dt2 = self.dt * self.dt
-        for src in self.sources:
+        for src, cells in zip(self.sources, self._source_cells):
             if src.start <= t <= src.stop:
                 # Smooth turn-on over 3 periods limits transient ringing.
                 ramp_time = 3.0 / self.frequency
@@ -260,38 +288,34 @@ class ScalarWaveSimulator:
                 value = (src.amplitude * envelope
                          * math.cos(omega * t + src.phase))
                 if src.hard:
-                    field[src.mask] = value
+                    field[cells] = value
                 else:
-                    field[src.mask] += dt2 * omega * omega * value
+                    field[cells] += dt2 * omega * omega * value
 
     def step(self, n_steps: int = 1) -> None:
         """Advance the field ``n_steps`` leapfrog steps.
 
         When the observer is attached (:func:`repro.obs.enable`) the
-        call is wrapped in an ``fdtd.step`` span, takes the
-        phase-profiled loop (per-step wall time split into
-        ``fdtd.phase.stencil_ms`` / ``boundary_ms`` / ``source_ms``
-        histograms), and updates the ``fdtd.steps`` /
+        call is wrapped in an ``fdtd.step`` span, each step's wall time
+        is split into ``fdtd.phase.stencil_ms`` / ``boundary_ms`` /
+        ``source_ms`` histograms, and the ``fdtd.steps`` /
         ``fdtd.cell_updates`` counters plus the ``fdtd.steps_per_s``
-        and ``fdtd.cell_updates_per_s`` throughput gauges; disabled,
-        the instrumentation is a single flag check and the bare
-        :meth:`_advance` loop runs untouched.  Likewise the resilience
-        hooks: with no watchdog, no checkpoint manager and no armed
-        fault plan the guarded loop is skipped entirely.
+        and ``fdtd.cell_updates_per_s`` throughput gauges are updated;
+        disabled, the instrumentation is a single flag check.  Likewise
+        the resilience hooks run only with a watchdog, a checkpoint
+        manager or an armed fault plan.  Every combination runs the
+        same loop, :meth:`_advance`.
         """
         guarded = (self.watchdog is not None or self.checkpoint is not None
                    or faults.active())
         if not obs.enabled():
-            advance = self._advance_guarded if guarded else self._advance
-            return advance(n_steps)
+            self._advance(n_steps, guarded)
+            return
         timer = obs.PhaseTimer("fdtd")
         t0 = time.perf_counter()
         with obs.span("fdtd.step", steps=int(n_steps),
                       cells=self._n_cells):
-            if guarded:
-                self._advance_guarded(n_steps, profile_timer=timer)
-            else:
-                self._advance_profiled(n_steps, timer)
+            self._advance(n_steps, guarded, timer)
         elapsed = time.perf_counter() - t0
         obs.counter("fdtd.steps").inc(int(n_steps))
         obs.counter("fdtd.cell_updates").inc(int(n_steps) * self._n_cells)
@@ -301,101 +325,60 @@ class ScalarWaveSimulator:
                 n_steps * self._n_cells / elapsed)
         timer.flush()
 
-    def _advance(self, n_steps: int) -> None:
-        """The uninstrumented leapfrog loop."""
-        c2 = self._laplacian_scale
-        dt = self.dt
-        masks = self._neighbour_masks
-        neighbours = self._neighbour_count
+    def _advance(self, n_steps: int, guarded: bool = False,
+                 timer: Optional[obs.PhaseTimer] = None) -> None:
+        """The leapfrog loop.
+
+        Each step sums the neighbours (``stencil``), writes the damped
+        update over the oldest plane (``boundary``) and injects the
+        sources (``source``); a ``timer`` charges each phase its wall
+        time.  ``guarded`` runs :meth:`_resilience_hooks` after every
+        step.
+        """
+        coef_u = self._coef_u
+        coef_prev = self._coef_prev
+        coef_neighbours = self._coef_neighbours
+        scratch = self._scratch
         heartbeat = self.progress
         every = self.progress_every
-        count = self.step_count
         for _ in range(n_steps):
-            lap = (
-                np.roll(self.u, 1, axis=0) * masks[(0, 1)]
-                + np.roll(self.u, -1, axis=0) * masks[(0, -1)]
-                + np.roll(self.u, 1, axis=1) * masks[(1, 1)]
-                + np.roll(self.u, -1, axis=1) * masks[(1, -1)]
-            )
-            lap -= neighbours * self.u
-            damp = self.gamma * dt
-            new = ((2.0 * self.u - (1.0 - damp) * self.u_prev + c2 * lap)
-                   / (1.0 + damp))
-            new *= self.mask
-            self.u_prev = self.u
-            self.u = new
-            self.t += dt
-            self._apply_sources(self.t, self.u)
-            count += 1
-            if heartbeat is not None and count % every == 0:
-                heartbeat(count, self.t)
-        self.step_count = count
+            if timer is not None:
+                t0 = timer.stamp()
+            neighbour_sum(self._frame, out=scratch)
+            if timer is not None:
+                t0 = timer.lap("stencil", t0)
+            new = self.u_prev
+            new *= coef_prev
+            scratch *= coef_neighbours
+            new += scratch
+            np.multiply(coef_u, self.u, out=scratch)
+            new += scratch
+            self._frame, self._frame_prev = self._frame_prev, self._frame
+            self.u, self.u_prev = new, self.u
+            self.t += self.dt
+            self.step_count += 1
+            if timer is not None:
+                t0 = timer.lap("boundary", t0)
+            self._apply_sources(self.t, new)
+            if timer is not None:
+                timer.lap("source", t0)
+            if heartbeat is not None and self.step_count % every == 0:
+                heartbeat(self.step_count, self.t)
+            if guarded:
+                self._resilience_hooks()
 
-    def _advance_profiled(self, n_steps: int, timer) -> None:
-        """The leapfrog loop with per-phase wall-time attribution.
-
-        Same update as :meth:`_advance` with one clock read between
-        phases, charging the Laplacian stencil, the damping/boundary
-        update and the source injection separately -- the breakdown
-        the batched-kernel optimisation needs.  Only ever taken when
-        the observer is attached.
-        """
-        c2 = self._laplacian_scale
-        dt = self.dt
-        masks = self._neighbour_masks
-        neighbours = self._neighbour_count
-        heartbeat = self.progress
-        every = self.progress_every
-        count = self.step_count
-        for _ in range(n_steps):
-            t0 = timer.stamp()
-            lap = (
-                np.roll(self.u, 1, axis=0) * masks[(0, 1)]
-                + np.roll(self.u, -1, axis=0) * masks[(0, -1)]
-                + np.roll(self.u, 1, axis=1) * masks[(1, 1)]
-                + np.roll(self.u, -1, axis=1) * masks[(1, -1)]
-            )
-            lap -= neighbours * self.u
-            t0 = timer.lap("stencil", t0)
-            damp = self.gamma * dt
-            new = ((2.0 * self.u - (1.0 - damp) * self.u_prev + c2 * lap)
-                   / (1.0 + damp))
-            new *= self.mask
-            self.u_prev = self.u
-            self.u = new
-            self.t += dt
-            t0 = timer.lap("boundary", t0)
-            self._apply_sources(self.t, self.u)
-            timer.lap("source", t0)
-            count += 1
-            if heartbeat is not None and count % every == 0:
-                heartbeat(count, self.t)
-        self.step_count = count
-
-    def _advance_guarded(self, n_steps: int, profile_timer=None) -> None:
-        """Leapfrog loop with per-step resilience hooks.
-
-        Taken only when a watchdog, a checkpoint manager or an armed
-        fault plan is present; the bare :meth:`_advance` hot path is
-        untouched otherwise.  ``profile_timer`` routes the inner step
-        through :meth:`_advance_profiled` when the observer is on.
-        """
-        watchdog = self.watchdog
-        manager = self.checkpoint
-        for _ in range(n_steps):
-            if profile_timer is not None:
-                self._advance_profiled(1, profile_timer)
-            else:
-                self._advance(1)
-            if faults.active():
-                spec = faults.trip("fdtd.step")
-                if spec is not None and spec.kind == "nan":
-                    iy, ix = np.argwhere(self.mask)[0]
-                    self.u[iy, ix] = np.nan
-            if watchdog is not None:
-                watchdog.observe(self.t, step=self.step_count, u=self.u)
-            if manager is not None:
-                manager.maybe_save(self.step_count, self.state_dict)
+    def _resilience_hooks(self) -> None:
+        """The ``fdtd.step`` fault site, the watchdog and the
+        checkpoint manager, after one step."""
+        if faults.active():
+            spec = faults.trip("fdtd.step")
+            if spec is not None and spec.kind == "nan":
+                iy, ix = np.argwhere(self.mask)[0]
+                self.u[iy, ix] = np.nan
+        if self.watchdog is not None:
+            self.watchdog.observe(self.t, step=self.step_count, u=self.u)
+        if self.checkpoint is not None:
+            self.checkpoint.maybe_save(self.step_count, self.state_dict)
 
     # -- checkpoint/resume ---------------------------------------------------
 
@@ -414,8 +397,8 @@ class ScalarWaveSimulator:
             raise CheckpointError(
                 f"checkpoint grid {meta.get('shape')} does not match "
                 f"simulator grid {[self.ny, self.nx]}")
-        self.u = np.array(arrays["u"], dtype=float)
-        self.u_prev = np.array(arrays["u_prev"], dtype=float)
+        self.u[...] = arrays["u"]
+        self.u_prev[...] = arrays["u_prev"]
         self.t = float(meta["t"])
         self.step_count = int(meta["step_count"])
 
