@@ -55,15 +55,19 @@ def write_bench_json(
     """Persist bench results in the common trajectory schema.
 
     Writes ``benchmarks/output/BENCH_<bench>.json`` -- a JSON list of
-    ``{bench, metric, value, unit, commit, ts}`` records, the
+    ``{bench, metric, value, unit, better, commit, ts}`` records, the
     latest-run snapshot -- and **appends** the same records to
     ``BENCH_TRAJECTORY.jsonl``, the accumulating commit-keyed history
     that ``python -m repro bench report|compare`` reads.  The snapshot
     is clobbered per run by design; the trajectory never is.
 
     ``metrics`` maps metric name to ``(value, unit)``; a bare number is
-    taken as dimensionless (``unit=""``).
+    taken as dimensionless (``unit=""``).  ``better`` (``"higher"`` or
+    ``"lower"``), the regression direction the gate uses, comes from
+    the name and unit by :func:`repro.obs.trajectory.higher_is_better`.
     """
+    from repro.obs.trajectory import higher_is_better
+
     commit = bench_commit()
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds")
@@ -73,9 +77,10 @@ def write_bench_json(
             value, unit = entry
         else:
             value, unit = entry, ""
+        better = "higher" if higher_is_better(metric, unit) else "lower"
         records.append({"bench": bench, "metric": metric,
-                        "value": value, "unit": unit, "commit": commit,
-                        "ts": stamp})
+                        "value": value, "unit": unit, "better": better,
+                        "commit": commit, "ts": stamp})
     os.makedirs(OUTPUT_DIR, exist_ok=True)
     path = os.path.join(OUTPUT_DIR, f"BENCH_{bench}.json")
     with open(path, "w", encoding="utf-8") as handle:

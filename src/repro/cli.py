@@ -857,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["surrogate", "network", "fdtd", "llg"],
                          default="fdtd",
                          help="evaluation tier (default fdtd: real wave "
-                              "solves, seconds per cold pattern; "
+                              "solves, seconds per cold input; "
                               "surrogate needs a fitted model -- run "
                               "'characterize' first)")
     p_sweep.add_argument("--cache-dir", default=".repro_cache",

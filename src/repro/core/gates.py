@@ -6,7 +6,8 @@ Two evaluation backends are built in:
   (:mod:`repro.core.network`); instantaneous, used for logic-level work
   and, in its *calibrated* form, for the Table I / II reproduction;
 * ``"fdtd"`` -- the 2-D wave solver on the rasterised geometry
-  (:mod:`repro.core.fabric`), producing the Figure-5-style field maps.
+  (:mod:`repro.core.fabric`), one solve per input composed by
+  superposition into every pattern and Figure-5-style field map.
 
 The full micromagnetic (LLG) backend lives at a lower level
 (:mod:`repro.micromag`) because its runtime budget demands explicit
@@ -21,6 +22,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..fdtd import scalar
 from ..physics.attenuation import LOSSLESS, AttenuationModel
 from ..physics.waves import Wave
 from .calibration import PAPER_ARRIVAL_MODEL, ArrivalModel
@@ -91,8 +93,9 @@ class _TriangleGateBase:
         self.network: WaveNetwork = network_from_layout(
             layout, frequency, attenuation, junction_transmission)
         self._fabricated: Optional[FabricatedGate] = None
-        self._fdtd_cache: Dict[Tuple[int, ...], Dict[str, complex]] = {}
-        self._fdtd_maps: Dict[Tuple[int, ...], np.ndarray] = {}
+        #: inputs driven at phase 0 -> (output envelopes, map or None)
+        self._fdtd_basis: Dict[Tuple[str, ...], tuple] = {}
+        self._reference: Dict[str, Dict[str, complex]] = {}
 
     # -- geometry ---------------------------------------------------------------
 
@@ -127,65 +130,93 @@ class _TriangleGateBase:
 
     # -- backends ---------------------------------------------------------------
 
-    def _network_envelopes(self, bits: Sequence[int]) -> Dict[str, complex]:
-        injections = {
-            name: Wave.logic(bit, self.frequency).envelope
-            for name, bit in zip(self.input_names, check_bits(bits))}
-        env = self.network.propagate(injections)
-        return {name: env[name] for name in self.output_names}
+    def _fdtd_solve(self, group: Tuple[str, ...], need_map: bool) -> tuple:
+        """Solve ``group`` driven at phase 0; memoize and return it (with
+        its envelope map only when ``need_map``: maps are large)."""
+        fab = self.fabricated
+        sim = build_wave_simulator(fab, self.frequency,
+                                   dict.fromkeys(group, 0))
+        if any(source.hard for source in sim.sources):
+            raise ValueError("hard (clamped) sources do not superpose")
+        envelope = scalar.run_steady_state(sim, settle_periods_for(fab))
+        entry = self._fdtd_basis[group] = (
+            {name: sim.region_envelope(fab.terminal_masks[name], envelope)
+             for name in self.output_names}, envelope if need_map else None)
+        return entry
 
-    def _fdtd_envelopes(self, bits: Sequence[int],
-                        keep_map: bool = False) -> Dict[str, complex]:
-        from ..fdtd.scalar import run_steady_state
+    def _fdtd_compose(self, bits: Sequence[int], need_map: bool = False
+                      ) -> Tuple[Dict[str, complex], Optional[np.ndarray]]:
+        """FDTD by superposition (docs/PHYSICS.md section 6): E(b) = sum
+        of (-1)^(group's bit) E_group over memoized input groups, largest
+        first, for the output envelopes and, with ``need_map``, the map.
+        The uncovered inputs of each logic value are solved as one group,
+        so a pattern costs at most two solves."""
+        bits, terms = check_bits(bits), []
+        for value in (0, 1):
+            todo = {name for name, bit in zip(self.input_names, bits)
+                    if bit == value}
+            for group in sorted(self._fdtd_basis, key=len, reverse=True):
+                entry = self._fdtd_basis[group]
+                if todo.issuperset(group) and (entry[1] is not None
+                                               or not need_map):
+                    terms.append((1 - 2 * value, entry))
+                    todo.difference_update(group)
+            if todo:
+                rest = tuple(name for name in self.input_names if name in todo)
+                terms.append((1 - 2 * value, self._fdtd_solve(rest, need_map)))
+        outputs = {name: sum(sign * envs[name] for sign, (envs, _) in terms)
+                   for name in self.output_names}
+        field = (sum(sign * field for sign, (_, field) in terms)
+                 if need_map else None)
+        return outputs, field
 
-        key = tuple(check_bits(bits))
-        if key not in self._fdtd_cache:
-            fab = self.fabricated
-            input_bits = dict(zip(self.input_names, key))
-            sim = build_wave_simulator(fab, self.frequency, input_bits)
-            envelope = run_steady_state(sim, settle_periods_for(fab))
-            self._fdtd_cache[key] = {
-                name: sim.region_envelope(fab.terminal_masks[name], envelope)
-                for name in self.output_names}
-            if keep_map:
-                self._fdtd_maps[key] = envelope
-        return self._fdtd_cache[key]
+    def solve_basis(self, backend: str = "fdtd",
+                    names: Optional[Sequence[str]] = None
+                    ) -> Dict[str, Dict[str, complex]]:
+        """Output envelopes of each input in ``names`` (default: all)
+        driven alone at phase 0, the FDTD basis every pattern composes
+        from; solved once, empty on the network backend."""
+        if backend != "fdtd":
+            return {}
+        return {name: (self._fdtd_basis.get((name,))
+                       or self._fdtd_solve((name,), False))[0]
+                for name in names or self.input_names}
+
+    def seed_basis(self, name: str, envelopes: Mapping[str, complex]) -> None:
+        """Memoize one input's :meth:`solve_basis` envelopes computed
+        elsewhere (an engine job); it carries no envelope map."""
+        self._fdtd_basis[(name,)] = (dict(envelopes), None)
 
     def output_envelopes(self, bits: Sequence[int],
                          backend: str = "network") -> Dict[str, complex]:
         """Raw complex envelopes at O1/O2 for an input pattern."""
         if backend == "network":
-            return self._network_envelopes(bits)
+            env = self.network.propagate({
+                name: Wave.logic(bit, self.frequency).envelope
+                for name, bit in zip(self.input_names, check_bits(bits))})
+            return {name: env[name] for name in self.output_names}
         if backend == "fdtd":
-            return self._fdtd_envelopes(bits)
+            return self._fdtd_compose(bits)[0]
         raise ValueError(f"unknown backend {backend!r}; use 'network' or "
                          "'fdtd' (LLG runs live in repro.micromag)")
 
     def field_map(self, bits: Sequence[int]) -> np.ndarray:
         """Steady-state complex envelope map (Figure 5 raw data).
 
-        Runs the FDTD backend for the pattern and returns the per-cell
-        complex envelope ``(ny, nx)``; ``.real`` of it is the snapshot
-        rendering the paper colour-codes blue/red.
+        Composes the FDTD backend's map for the pattern and returns the
+        per-cell complex envelope ``(ny, nx)``; ``.real`` of it is the
+        snapshot rendering the paper colour-codes blue/red.
         """
-        key = tuple(check_bits(bits))
-        if key not in self._fdtd_maps:
-            self._fdtd_cache.pop(key, None)
-            self._fdtd_envelopes(bits, keep_map=True)
-        return self._fdtd_maps[key]
+        return self._fdtd_compose(bits, need_map=True)[1]
 
     def clear_caches(self) -> None:
-        """Drop FDTD steady states (e.g. after mutating the layout)."""
-        self._fdtd_cache.clear()
-        self._fdtd_maps.clear()
+        """Drop FDTD solves and references (e.g. after mutating the layout)."""
+        self._fdtd_basis.clear()
+        self._reference.clear()
 
     def as_device(self):
         """This gate as a generic 4-stage :class:`SpinWaveDevice`."""
-        from .device import (
-            DetectionMethod,
-            SpinWaveDevice,
-            Transducer,
-        )
+        from .device import DetectionMethod, SpinWaveDevice, Transducer
 
         detection = (DetectionMethod.PHASE
                      if self.layout.kind == "maj3"
@@ -200,6 +231,48 @@ class _TriangleGateBase:
             fan_out=len(self.output_names),
             functional_region="merge-stem-split triangle, paths n*lambda",
             equal_energy_inputs=True)
+
+    def _references(self, backend: str) -> Dict[str, complex]:
+        """All-zeros output envelopes, the detectors' reference."""
+        if backend not in self._reference:
+            self._reference[backend] = self.output_envelopes(
+                (0,) * len(self.input_names), backend)
+        return self._reference[backend]
+
+    def evaluate(self, bits: Sequence[int],
+                 backend: str = "network") -> GateResult:
+        """Apply an input pattern and detect both outputs."""
+        bits = check_bits(bits)
+        if len(bits) != len(self.input_names):
+            raise ValueError(f"{self.layout.kind.upper()} takes "
+                             f"{len(self.input_names)} inputs, "
+                             f"got {len(bits)}")
+        envelopes = self.output_envelopes(bits, backend)
+        references = self._references(backend)
+        outputs = {name: self._detector(references[name]).detect_envelope(
+            env, self.frequency) for name, env in envelopes.items()}
+        return GateResult(inputs=dict(zip(self.input_names, bits)),
+                          outputs=outputs, expected=self._expected(bits),
+                          backend=backend)
+
+    def truth_table(self, backend: str = "network"
+                    ) -> Dict[Tuple[int, ...], GateResult]:
+        """Evaluate every input pattern."""
+        self.solve_basis(backend)
+        return {bits: self.evaluate(bits, backend)
+                for bits in input_patterns(len(self.input_names))}
+
+    def normalized_output_table(self, backend: str = "network"
+                                ) -> Dict[Tuple[int, ...], Tuple[float, float]]:
+        """Output amplitude per pattern, normalised to the all-zeros
+        (unanimous) pattern -- Tables I and II."""
+        self.solve_basis(backend)
+        refs = self._references(backend)
+        envs = {bits: self.output_envelopes(bits, backend)
+                for bits in input_patterns(len(self.input_names))}
+        return {bits: tuple(abs(env[name]) / abs(refs[name])
+                            for name in self.output_names)
+                for bits, env in envs.items()}
 
 
 class TriangleMajorityGate(_TriangleGateBase):
@@ -238,47 +311,17 @@ class TriangleMajorityGate(_TriangleGateBase):
                          junction_transmission)
         self.invert_output = invert_output
         self.calibration = calibration
-        self._reference_phase: Dict[str, Dict[str, float]] = {}
 
-    # -- detection ---------------------------------------------------------------
+    def _detector(self, reference: complex) -> PhaseDetector:
+        # The inversion is implemented geometrically (d4 rule): the
+        # half-wavelength of an inverted gate flips the arriving phase
+        # relative to the *non-inverted* reference, so the detector
+        # reference is shifted back by pi.
+        return PhaseDetector(reference_phase=float(np.angle(reference))
+                             - (math.pi if self.invert_output else 0.0))
 
-    def _references(self, backend: str) -> Dict[str, float]:
-        """Reference phases per output: the all-zeros pattern defines
-        logic 0 (the paper's "predefined phase")."""
-        if backend not in self._reference_phase:
-            zeros = self.output_envelopes([0] * len(self.input_names), backend)
-            self._reference_phase[backend] = {
-                name: float(np.angle(env)) for name, env in zeros.items()}
-        return self._reference_phase[backend]
-
-    def evaluate(self, bits: Sequence[int],
-                 backend: str = "network") -> GateResult:
-        """Apply an input pattern and phase-detect both outputs."""
-        bits = check_bits(bits)
-        if len(bits) != 3:
-            raise ValueError(f"MAJ3 takes 3 inputs, got {len(bits)}")
-        envelopes = self.output_envelopes(bits, backend)
-        references = self._references(backend)
-        outputs = {}
-        for name, env in envelopes.items():
-            # The inversion is implemented geometrically (d4 rule):
-            # the half-wavelength of an inverted gate flips the arriving
-            # phase relative to the *non-inverted* reference, so the
-            # detector reference is shifted back by pi.
-            ref = references[name] - (math.pi if self.invert_output else 0.0)
-            detector = PhaseDetector(reference_phase=ref)
-            outputs[name] = detector.detect_envelope(env, self.frequency)
-        expected = majority(*bits)
-        if self.invert_output:
-            expected = 1 - expected
-        return GateResult(inputs=dict(zip(self.input_names, bits)),
-                          outputs=outputs, expected=expected, backend=backend)
-
-    def truth_table(self, backend: str = "network"
-                    ) -> Dict[Tuple[int, ...], GateResult]:
-        """Evaluate all 8 patterns."""
-        return {bits: self.evaluate(bits, backend)
-                for bits in input_patterns(3)}
+    def _expected(self, bits: Sequence[int]) -> int:
+        return majority(*bits) ^ int(self.invert_output)
 
     def normalized_output_table(self, backend: str = "network"
                                 ) -> Dict[Tuple[int, ...], Tuple[float, float]]:
@@ -292,14 +335,7 @@ class TriangleMajorityGate(_TriangleGateBase):
         if self.calibration is not None and backend == "network":
             return {bits: (self.calibration.normalized_output(bits),) * 2
                     for bits in input_patterns(3)}
-        table = {}
-        zeros = self.output_envelopes((0, 0, 0), backend)
-        refs = {name: abs(env) for name, env in zeros.items()}
-        for bits in input_patterns(3):
-            env = self.output_envelopes(bits, backend)
-            table[bits] = tuple(abs(env[name]) / refs[name]
-                                for name in self.output_names)
-        return table
+        return super().normalized_output_table(backend)
 
 
 class TriangleXorGate(_TriangleGateBase):
@@ -321,53 +357,14 @@ class TriangleXorGate(_TriangleGateBase):
                          junction_transmission)
         self.xnor = xnor
         self.threshold = threshold
-        self._reference_amp: Dict[str, Dict[str, float]] = {}
 
-    def _references(self, backend: str) -> Dict[str, float]:
-        """Unanimous-case amplitudes: the normalisation of Table II."""
-        if backend not in self._reference_amp:
-            zeros = self.output_envelopes((0, 0), backend)
-            self._reference_amp[backend] = {
-                name: abs(env) for name, env in zeros.items()}
-        return self._reference_amp[backend]
+    def _detector(self, reference: complex) -> ThresholdDetector:
+        return ThresholdDetector(threshold=self.threshold,
+                                 reference_amplitude=abs(reference),
+                                 invert=self.xnor)
 
-    def evaluate(self, bits: Sequence[int],
-                 backend: str = "network") -> GateResult:
-        """Apply an input pattern and threshold-detect both outputs."""
-        bits = check_bits(bits)
-        if len(bits) != 2:
-            raise ValueError(f"XOR takes 2 inputs, got {len(bits)}")
-        envelopes = self.output_envelopes(bits, backend)
-        references = self._references(backend)
-        outputs = {}
-        for name, env in envelopes.items():
-            detector = ThresholdDetector(
-                threshold=self.threshold,
-                reference_amplitude=references[name],
-                invert=self.xnor)
-            outputs[name] = detector.detect_envelope(env, self.frequency)
-        expected = xor(*bits)
-        if self.xnor:
-            expected = 1 - expected
-        return GateResult(inputs=dict(zip(self.input_names, bits)),
-                          outputs=outputs, expected=expected, backend=backend)
-
-    def truth_table(self, backend: str = "network"
-                    ) -> Dict[Tuple[int, ...], GateResult]:
-        """Evaluate all 4 patterns."""
-        return {bits: self.evaluate(bits, backend)
-                for bits in input_patterns(2)}
-
-    def normalized_output_table(self, backend: str = "network"
-                                ) -> Dict[Tuple[int, ...], Tuple[float, float]]:
-        """Reproduce Table II: normalised output amplitudes."""
-        refs = self._references(backend)
-        table = {}
-        for bits in input_patterns(2):
-            env = self.output_envelopes(bits, backend)
-            table[bits] = tuple(abs(env[name]) / refs[name]
-                                for name in self.output_names)
-        return table
+    def _expected(self, bits: Sequence[int]) -> int:
+        return xor(*bits) ^ int(self.xnor)
 
 
 class DerivedTriangleGate:
@@ -411,6 +408,7 @@ class DerivedTriangleGate:
     def truth_table(self, backend: str = "network"
                     ) -> Dict[Tuple[int, int], GateResult]:
         """All four (a, b) patterns."""
+        self.majority_gate.solve_basis(backend)
         return {(a, b): self.evaluate(a, b, backend)
                 for a, b in input_patterns(2)}
 

@@ -153,6 +153,9 @@ def extract_dispersion(material: Material,
 
 GATE_ARITY = {"maj3": 3, "xor": 2}
 
+_UNMODELLED_KNOBS = ("phase_noise/geometry_jitter are characterization "
+                     "axes of the surrogate tier; the physical tiers do "
+                     "not model them")
 
 #: Degradation ladders per starting tier: each entry is walked left to
 #: right until a rung answers.  The surrogate's ladder falls through
@@ -253,9 +256,7 @@ def run_gate_case(gate: str, bits: Sequence[int], tier: str = "network",
         raise ValueError(f"unknown tier {tier!r}; choose from "
                          "'surrogate', 'network', 'fdtd', 'llg'")
     if tier != "surrogate" and (phase_noise or geometry_jitter):
-        raise ValueError("phase_noise/geometry_jitter are characterization "
-                         "axes of the surrogate tier; the physical tiers "
-                         "do not model them")
+        raise ValueError(_UNMODELLED_KNOBS)
 
     from ..errors import (
         FaultInjected,
@@ -268,7 +269,7 @@ def run_gate_case(gate: str, bits: Sequence[int], tier: str = "network",
                   bits="".join(map(str, bits))):
         ladder = _TIER_LADDERS[tier]
         rung = 0
-        failed: list = []
+        failed: Dict[str, Exception] = {}  # tier -> why it failed
         while True:
             attempt_tier = ladder[rung]
             try:
@@ -291,17 +292,28 @@ def run_gate_case(gate: str, bits: Sequence[int], tier: str = "network",
                 if (not remediate or not degradable
                         or rung + 1 >= len(ladder)):
                     raise
-                obs.get_logger("micromag.experiments").warning(
-                    "%s tier failed for %s %s (%s); degrading to %s",
-                    attempt_tier, gate, bits, exc, ladder[rung + 1])
-                if obs.enabled():
-                    obs.counter("resilience.degraded").inc()
-                failed.append(attempt_tier)
+                failed[attempt_tier] = exc
                 rung += 1
         if failed:
-            case["degraded_from"] = failed[0]
-            case["degradation_path"] = failed + [attempt_tier]
+            _mark_degraded(case, [*failed, attempt_tier], gate, bits,
+                           next(iter(failed.values())))
         return case
+
+
+def _mark_degraded(case: Dict[str, Any], path: Sequence[str], gate: str,
+                   bits: Tuple[int, ...], reason: Any) -> Dict[str, Any]:
+    """Record that ``case`` was answered down the degradation ladder
+    ``path`` (requested tier first) because of ``reason``: the
+    ``degraded_from``/``degradation_path`` fields, the
+    ``resilience.degraded`` counter and a warning."""
+    obs.get_logger("micromag.experiments").warning(
+        "%s tier failed for %s %s (%s); degraded to %s",
+        path[0], gate, tuple(bits), reason, path[-1])
+    if obs.enabled():
+        obs.counter("resilience.degraded").inc()
+    case["degraded_from"] = path[0]
+    case["degradation_path"] = list(path)
+    return case
 
 
 def _evaluate_tier(gate: str, bits: Tuple[int, ...], expected: int,
@@ -320,16 +332,7 @@ def _evaluate_tier(gate: str, bits: Tuple[int, ...], expected: int,
                                     geometry_jitter=geometry_jitter,
                                     temperature=temperature))
     if tier in ("network", "fdtd"):
-        result, normalized = _evaluate_model_tier(gate, bits, tier,
-                                                  calibrated, frequency)
-        outputs = {
-            name: {"logic": det.logic_value, "amplitude": det.amplitude,
-                   "phase": det.phase, "margin": det.margin}
-            for name, det in result.outputs.items()}
-        return {"gate": gate, "tier": tier, "bits": list(bits),
-                "outputs": outputs, "normalized": list(normalized),
-                "expected": expected, "correct": result.correct,
-                "fanout_matched": result.fanout_matched}
+        return _evaluate_model_tier(gate, bits, tier, calibrated, frequency)
 
     def run(dt: Optional[float]) -> Dict[str, Any]:
         return _evaluate_llg_tier(gate, bits, expected,
@@ -349,23 +352,33 @@ def _evaluate_tier(gate: str, bits: Tuple[int, ...], expected: int,
     return case
 
 
-def _evaluate_model_tier(gate: str, bits: Tuple[int, ...], tier: str,
-                         calibrated: bool, frequency: Optional[float]):
-    """Network/FDTD evaluation plus the Table I/II normalisation."""
+def _model_gate(gate: str, calibrated: bool, frequency: Optional[float]):
+    """The gate instance the network/FDTD tiers evaluate."""
     from ..core.gates import (
         TriangleMajorityGate,
         TriangleXorGate,
         paper_table_i_gate,
     )
-    from ..resilience import faults
 
-    faults.trip(f"{tier}.evaluate")
     kwargs = {} if frequency is None else {"frequency": frequency}
     if gate == "maj3":
-        instance = paper_table_i_gate() if calibrated and not kwargs \
+        return paper_table_i_gate() if calibrated and not kwargs \
             else TriangleMajorityGate(**kwargs)
-    else:
-        instance = TriangleXorGate(**kwargs)
+    return TriangleXorGate(**kwargs)
+
+
+def _evaluate_model_tier(gate: str, bits: Tuple[int, ...], tier: str,
+                         calibrated: bool, frequency: Optional[float],
+                         instance: Any = None) -> Dict[str, Any]:
+    """Network/FDTD evaluation plus the Table I/II normalisation, as a
+    case in the shape :func:`run_gate_case` returns.  ``instance`` is a
+    gate whose FDTD basis is already seeded; without one, a fresh gate
+    is built behind the ``{tier}.evaluate`` fault site."""
+    if instance is None:
+        from ..resilience import faults
+
+        faults.trip(f"{tier}.evaluate")
+        instance = _model_gate(gate, calibrated, frequency)
     result = instance.evaluate(bits, backend=tier)
     if (gate == "maj3" and instance.calibration is not None
             and tier == "network"):
@@ -376,7 +389,75 @@ def _evaluate_model_tier(gate: str, bits: Tuple[int, ...], tier: str,
         normalized = tuple(
             abs(env[name]) / abs(zeros[name])
             for name in instance.output_names)
-    return result, normalized
+    outputs = {
+        name: {"logic": det.logic_value, "amplitude": det.amplitude,
+               "phase": det.phase, "margin": det.margin}
+        for name, det in result.outputs.items()}
+    return {"gate": gate, "tier": tier, "bits": list(bits),
+            "outputs": outputs, "normalized": list(normalized),
+            "expected": result.expected, "correct": result.correct,
+            "fanout_matched": result.fanout_matched}
+
+
+def run_fdtd_basis(gate: str, input_name: str,
+                   frequency: Optional[float] = None,
+                   remediate: bool = True) -> Dict[str, Any]:
+    """ONE FDTD basis solve as a job, the unit FDTD sweeps compose
+    every pattern from: input ``input_name`` driven alone at phase 0,
+    behind the ``fdtd.evaluate`` fault site.  Returns ``{"gate",
+    "input", "envelopes": {output: [re, im]}}`` (no field map).  When
+    the field watchdog trips it returns ``"diverged": {"step", "t",
+    "reason"}`` in place of ``envelopes`` or, with ``remediate=False``,
+    raises :class:`~repro.errors.NumericalDivergenceError` (the job
+    fails and is not cached)."""
+    from ..errors import NumericalDivergenceError
+    from ..resilience import faults
+
+    faults.trip("fdtd.evaluate")
+    instance = _model_gate(gate, False, frequency)
+    try:
+        envelopes = instance.solve_basis(names=[input_name])[input_name]
+    except NumericalDivergenceError as exc:
+        if not remediate:
+            raise
+        return {"gate": gate, "input": input_name,
+                "diverged": {"step": exc.step, "t": exc.t,
+                             "reason": exc.reason}}
+    return {"gate": gate, "input": input_name,
+            "envelopes": {name: [env.real, env.imag]
+                          for name, env in envelopes.items()}}
+
+
+def _compose_fdtd_cases(gate: str, instance: Any, result: Any,
+                        calibrated: bool, frequency: Optional[float]
+                        ) -> Dict[Tuple[int, ...], Dict[str, Any]]:
+    """Every pattern's case from the basis jobs' results, in-process.
+
+    A diverged basis job answers every pattern from the network rung,
+    so one table never mixes tiers; a failed job leaves the table
+    empty.
+    """
+    from ..core.logic import input_patterns
+
+    values = [outcome.value for outcome in result if outcome.ok]
+    if len(values) < len(result):
+        return {}
+    diverged = [value["diverged"] for value in values if "diverged" in value]
+    patterns = input_patterns(GATE_ARITY[gate])
+    if diverged:
+        return {bits: _mark_degraded(
+                    _evaluate_model_tier(gate, bits, "network", calibrated,
+                                         frequency),
+                    ["fdtd", "network"], gate, bits,
+                    f"diverged: {diverged[0]['reason']}")
+                for bits in patterns}
+    for value in values:
+        instance.seed_basis(value["input"], {
+            name: complex(*re_im)
+            for name, re_im in value["envelopes"].items()})
+    return {bits: _evaluate_model_tier(gate, bits, "fdtd", calibrated,
+                                       frequency, instance)
+            for bits in patterns}
 
 
 def _evaluate_llg_tier(gate: str, bits: Tuple[int, ...], expected: int,
@@ -507,6 +588,15 @@ def sweep_gate_truth_table(gate: str = "maj3", tier: str = "network",
     an :class:`repro.runtime.Executor` -- parallel across patterns,
     content-addressed-cached across invocations.
 
+    The FDTD tier is linear, so there the jobs are one
+    :func:`run_fdtd_basis` solve per *input* (3 for MAJ3, 2 for XOR);
+    every pattern is composed from them and decoded in-process as
+    :func:`run_gate_case` would (docs/PHYSICS.md section 6).  Of the
+    case parameters only ``frequency`` and ``remediate`` apply there
+    (the LLG knobs are ignored, as by the FDTD rung of
+    :func:`run_gate_case`).  A diverged basis job degrades the whole
+    table to network; with ``remediate=False`` it fails its job.
+
     Parameters
     ----------
     gate / tier:
@@ -531,31 +621,50 @@ def sweep_gate_truth_table(gate: str = "maj3", tier: str = "network",
     if gate not in GATE_ARITY:
         raise ValueError(f"unknown gate {gate!r}; choose from "
                          f"{sorted(GATE_ARITY)}")
+    if tier == "fdtd" and (case_kwargs.get("phase_noise")
+                           or case_kwargs.get("geometry_jitter")):
+        raise ValueError(_UNMODELLED_KNOBS)
     if calibrated is None:
         calibrated = tier == "network"
     if executor is None:
         executor = Executor(workers=workers, cache=cache)
 
-    specs = []
-    for bits in input_patterns(GATE_ARITY[gate]):
-        params = {"gate": gate, "bits": list(bits), "tier": tier,
-                  "calibrated": calibrated}
-        params.update(case_kwargs)
-        specs.append(JobSpec(
-            fn="repro.micromag.experiments:run_gate_case", params=params,
-            label=f"{gate}:{''.join(map(str, bits))}@{tier}"))
+    frequency = case_kwargs.get("frequency")
+    if tier == "fdtd":
+        instance = _model_gate(gate, calibrated, frequency)
+        basis_params = {"frequency": frequency}
+        if not case_kwargs.get("remediate", True):
+            basis_params["remediate"] = False
+        specs = [JobSpec(
+            fn="repro.micromag.experiments:run_fdtd_basis",
+            params={"gate": gate, "input_name": name, **basis_params},
+            label=f"{gate}:{name}@fdtd") for name in instance.input_names]
+    else:
+        specs = []
+        for bits in input_patterns(GATE_ARITY[gate]):
+            params = {"gate": gate, "bits": list(bits), "tier": tier,
+                      "calibrated": calibrated}
+            params.update(case_kwargs)
+            specs.append(JobSpec(
+                fn="repro.micromag.experiments:run_gate_case",
+                params=params,
+                label=f"{gate}:{''.join(map(str, bits))}@{tier}"))
     with obs.span("sweep", gate=gate, tier=tier, n_jobs=len(specs)):
         result = executor.run(specs)
     if raise_on_failure:
         result.raise_on_failure()
     for outcome in result:
         # Surface graceful tier degradation in the RunReport telemetry.
-        if (outcome.ok and isinstance(outcome.value, dict)
-                and outcome.value.get("degraded_from")):
-            note = f"degraded_from={outcome.value['degraded_from']}"
+        if outcome.ok and ("diverged" in outcome.value
+                           or outcome.value.get("degraded_from")):
+            note = f"degraded_from={tier}"
             outcome.record.notes = (f"{outcome.record.notes}; {note}"
                                     if outcome.record.notes else note)
-    cases = {tuple(outcome.value["bits"]): outcome.value
-             for outcome in result if outcome.ok}
+    if tier == "fdtd":
+        cases = _compose_fdtd_cases(gate, instance, result, calibrated,
+                                    frequency)
+    else:
+        cases = {tuple(outcome.value["bits"]): outcome.value
+                 for outcome in result if outcome.ok}
     return GateSweep(gate=gate, tier=tier, cases=cases,
                      report=result.report)

@@ -15,11 +15,14 @@ This module reads that trajectory back and answers two questions:
   history means no verdict -- which is exactly why running the bench
   twice on the same commit reports zero regressions.
 
-Regression direction is unit-aware: throughput-like metrics (unit
-``req/s``, names ending ``_per_s`` / ``throughput``) regress when they
-*drop*; everything else (seconds, ratios, bytes) regresses when it
-*grows*.  The threshold is relative (0.15 = flag a >15 % move in the
-bad direction).
+Regression direction comes from the record's ``better`` field
+(``"higher"`` or ``"lower"``, written by ``bench_common``).  Records
+without one are scored by name and unit: throughput-like metrics (unit
+``req/s``, names ending ``_per_s`` / ``_rps`` / ``throughput``),
+``efficiency*`` and ``speedup_*_x`` regress when they *drop*;
+everything else (seconds, bytes, counts) regresses when it *grows*.
+The threshold is relative (0.15 = flag a >15 % move in the bad
+direction).
 """
 
 from __future__ import annotations
@@ -83,14 +86,22 @@ def load_trajectory(path) -> List[Dict[str, Any]]:
     return records
 
 
-def higher_is_better(metric: str, unit: str = "") -> bool:
+def higher_is_better(metric: str, unit: str = "",
+                     better: Optional[str] = None) -> bool:
     """Regression direction for a metric: True when bigger numbers are
-    good (throughput), False when they are bad (latency, memory)."""
+    good (throughput, efficiency), False when they are bad (latency,
+    memory).  An explicit ``better`` of ``"higher"`` or ``"lower"``
+    wins over the name and unit."""
+    if better in ("higher", "lower"):
+        return better == "higher"
     metric = metric.lower()
     unit = (unit or "").lower()
     if unit in ("req/s", "ops/s", "steps/s", "cells/s"):
         return True
-    return metric.endswith(("_per_s", "_rate", "throughput"))
+    if metric.startswith("efficiency") or (
+            metric.startswith("speedup_") and metric.endswith("_x")):
+        return True
+    return metric.endswith(("_per_s", "_rps", "_rate", "throughput"))
 
 
 @dataclass
@@ -146,6 +157,7 @@ def compare(records: Sequence[Dict[str, Any]], threshold: float = 0.15,
                    if r.get("commit", "unknown") != current_commit]
         latest = statistics.median(r["value"] for r in latest_rows)
         unit = latest_rows[-1].get("unit", "")
+        higher = higher_is_better(metric, unit, latest_rows[-1].get("better"))
         baseline = change = None
         regressed = False
         if earlier:
@@ -154,11 +166,11 @@ def compare(records: Sequence[Dict[str, Any]], threshold: float = 0.15,
             if baseline != 0:
                 raw = (latest - baseline) / abs(baseline)
                 # Normalise sign so positive change always means worse.
-                change = -raw if higher_is_better(metric, unit) else raw
+                change = -raw if higher else raw
                 regressed = change > threshold
             elif latest != 0:
                 change = float("inf")
-                regressed = not higher_is_better(metric, unit)
+                regressed = not higher
         comparisons.append(Comparison(
             bench=bench_name, metric=metric, unit=unit, latest=latest,
             baseline=baseline, change=change, regressed=regressed,

@@ -117,6 +117,7 @@ def characterize_point(gate: str, tier: str = "network",
             f":T={temperature!r}:n={int(n_trials)}")
     rng = np.random.default_rng(seed)
 
+    instance.solve_basis(tier)  # FDTD: n solves compose all 2^n patterns
     zeros = instance.output_envelopes((0,) * arity, tier)
     names = sorted(zeros)
     detectors: Dict[str, Any] = {}

@@ -6,6 +6,7 @@ bench-trajectory regression gate (store, compare, CLI)."""
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +356,9 @@ class TestJobResources:
 # Bench trajectory store and regression gate
 
 
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
 def _rec(bench, metric, value, commit, unit="s"):
     return {"bench": bench, "metric": metric, "value": value,
             "unit": unit, "commit": commit, "ts": "2026-08-08T00:00:00"}
@@ -450,6 +454,59 @@ class TestRegressionGate:
         assert trajectory.higher_is_better("decode_throughput", "")
         assert not trajectory.higher_is_better("wall_s", "s")
         assert not trajectory.higher_is_better("max_rss_kb", "kB")
+        assert trajectory.higher_is_better("efficiency_4w", "")
+        assert trajectory.higher_is_better("speedup_4w_x", "")
+        assert trajectory.higher_is_better("warm_rps", "")
+        assert not trajectory.higher_is_better("elapsed_1w", "s")
+
+    def test_explicit_direction_wins(self):
+        assert trajectory.higher_is_better("wall_s", "s", better="higher")
+        assert not trajectory.higher_is_better("warm_rps", "req/s",
+                                               better="lower")
+
+    @pytest.mark.parametrize("better", [None, "higher"])
+    def test_efficiency_rise_is_not_a_regression(self, better):
+        rows = ([_rec("cluster", "efficiency_4w", 0.24, "aaa", unit="")] * 3
+                + [_rec("cluster", "efficiency_4w", 0.30, "bbb", unit="")])
+        if better:
+            for row in rows:
+                row["better"] = better
+        (c,) = trajectory.compare(rows)
+        assert c.change < 0
+        assert not c.regressed
+
+    def test_efficiency_drop_is_a_regression(self):
+        rows = ([_rec("cluster", "efficiency_4w", 0.30, "aaa", unit="")] * 3
+                + [_rec("cluster", "efficiency_4w", 0.15, "bbb", unit="")])
+        (c,) = trajectory.compare(rows)
+        assert c.regressed
+
+    def test_seeded_2x_elapsed_slowdown_is_a_regression(self):
+        rows = ([_rec("cluster", "elapsed_1w", 2.9, "aaa")] * 3
+                + [_rec("cluster", "elapsed_1w", 5.8, "bbb")])
+        for row in rows:
+            row["better"] = "lower"
+        (c,) = trajectory.compare(rows)
+        assert c.change == pytest.approx(1.0)
+        assert c.regressed
+
+    def test_bench_records_carry_their_direction(self, tmp_path,
+                                                 monkeypatch):
+        sys.path.insert(0, str(BENCH_DIR))
+        try:
+            import bench_common
+        finally:
+            sys.path.remove(str(BENCH_DIR))
+        monkeypatch.setattr(bench_common, "OUTPUT_DIR", str(tmp_path))
+        monkeypatch.setattr(bench_common, "TRAJECTORY_PATH",
+                            str(tmp_path / "traj.jsonl"))
+        monkeypatch.setenv("REPRO_COMMIT", "abc")
+        bench_common.write_bench_json("cluster", {
+            "elapsed_1w": (2.9, "s"), "efficiency_4w": 0.24})
+        rows = {row["metric"]: row for row in trajectory.load_trajectory(
+            tmp_path / "traj.jsonl")}
+        assert rows["elapsed_1w"]["better"] == "lower"
+        assert rows["efficiency_4w"]["better"] == "higher"
 
 
 # ---------------------------------------------------------------------------
