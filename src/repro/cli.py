@@ -1,65 +1,15 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Gives downstream users the headline reproductions without writing
-Python:
-
-* ``truth-table maj3|xor|maj5|and|or|nand|nor|xnor`` -- evaluate a gate
-  on all input patterns (network tier);
-* ``table1`` / ``table2`` / ``table3`` -- print the reproduced paper
-  tables;
-* ``design [--wavelength-nm X]`` -- gate dimensions and operating point
-  for a given wavelength;
-* ``adder WIDTH`` -- circuit-level comparison of an n-bit adder;
-* ``sweep maj3|xor`` -- the full 2^n truth-table grid through the
-  orchestration engine (:mod:`repro.runtime`): parallel across input
-  patterns, content-addressed-cached across invocations; with
-  ``--resume`` (and optionally ``--journal PATH``) a killed sweep
-  restarts from its write-ahead job journal, skipping completed jobs
-  (see docs/RESILIENCE.md);
-* ``profile maj3|xor [--tier ...]`` -- run one gate case under the
-  span tracer (:mod:`repro.obs`) and print the top spans by
-  cumulative time;
-* ``serve [--port --workers --max-queue --rate ...]`` -- the HTTP
-  gate-evaluation service (:mod:`repro.serve`): single-flight
-  coalescing, micro-batching, 429 backpressure, ``/metrics`` and
-  graceful drain on SIGTERM; ``--prefork N`` forks N SO_REUSEPORT
-  processes on one port, ``--backend tcp://...`` runs solver tiers on
-  a cluster;
-* ``cluster start|status|stop`` -- run or inspect a
-  :mod:`repro.cluster` coordinator that shards sweep jobs over TCP
-  workers with a shared cache, single-flight brokering and
-  heartbeat-based rescheduling (docs/CLUSTER.md);
-* ``worker tcp://HOST:PORT [--capacity N]`` -- join a coordinator and
-  execute its jobs;
-* ``characterize maj3|xor [--axis NAME=V1,V2,...]`` -- sweep a gate
-  over the characterization axes through the engine, store the
-  records content-addressed (:mod:`repro.surrogate`), fit the
-  surrogate model and save it where the ``surrogate`` tier loads it;
-* ``cache stats|prune [--max-bytes N] [--json]`` -- inspect the
-  on-disk result cache (``--json`` prints the machine-readable usage
-  report, quarantine counts included) or evict least-recently-used
-  entries down to a byte budget;
-* ``bench report|compare`` -- sparkline history of the accumulated
-  benchmark trajectory, and a regression gate (exit 1 when the latest
-  commit moved a metric beyond ``--threshold`` against the rolling
-  baseline of earlier commits).  A missing/empty trajectory prints a
-  clear pointer and exits 0 from ``report`` (nothing to show) but
-  exits 3 from ``compare`` (``EXIT_NO_TRAJECTORY``) so CI can tell
-  "no data yet" from "no regressions";
-* ``debug dump`` -- print the most recent flight-recorder dump (the
-  last-N-events black box written on crashes,
-  ``NumericalDivergenceError`` and SIGUSR2);
-* ``compile SPEC [--characterize]`` -- the spin-wave circuit compiler
-  (:mod:`repro.compiler`): synthesize an arbitrary boolean function
-  (builtin name, inline JSON spec, equation list like
-  ``'s = a ^ b; c = maj(a, b, 0)'``, or a spec file) into a placed
-  triangle-gate fabric, design-rule check it, and optionally push it
-  through the energy/delay/error-rate characterizer (exit 1 on DRC
-  violations; see docs/COMPILER.md).
+Gives downstream users the headline reproductions (the paper's tables,
+truth tables, design points), the engine-backed sweeps, the HTTP
+service, the cluster and the circuit compiler without writing Python.
+``python -m repro --help`` lists the commands and ``python -m repro
+COMMAND --help`` their flags.
 
 Global flags (before the subcommand): ``--workers N`` fans cache
 misses out over N worker processes (0 = one per CPU); ``--no-cache``
-disables the on-disk result cache; ``--trace FILE`` writes a span
+disables the on-disk result cache (both are also accepted after the
+engine-backed subcommands); ``--trace FILE`` writes a span
 trace of the command (Chrome trace-event JSON for Perfetto, or a JSONL
 span log when FILE ends in ``.jsonl``); ``--log-level LEVEL`` turns on
 ``repro`` logging; ``--version`` prints the package version.
@@ -68,52 +18,54 @@ span log when FILE ends in ``.jsonl``); ``--log-level LEVEL`` turns on
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
 
+def _fail(message: str, code: int = 2) -> int:
+    """Report an error on stderr; returns the exit code."""
+    print(message, file=sys.stderr)
+    return code
+
+
+def _cache(args: argparse.Namespace):
+    """The result cache the engine flags select (None with --no-cache)."""
+    from .runtime import DiskCache
+
+    return None if args.no_cache else DiskCache(root=args.cache_dir)
+
+
 def _cmd_truth_table(args: argparse.Namespace) -> int:
+    from functools import partial
+
     from .core import DerivedTriangleGate, TriangleMajorityGate, TriangleXorGate
     from .core.extended import TriangleMajority5Gate
     from .core.logic import input_patterns
     from .io import format_truth_table
 
-    name = args.gate.lower()
-    if name == "maj3":
-        gate = TriangleMajorityGate()
-        n = 3
-        evaluate = lambda bits: gate.evaluate(bits).outputs
-    elif name == "nmaj3":
-        gate = TriangleMajorityGate(invert_output=True)
-        n = 3
-        evaluate = lambda bits: gate.evaluate(bits).outputs
-    elif name == "xor":
-        gate = TriangleXorGate()
-        n = 2
-        evaluate = lambda bits: gate.evaluate(bits).outputs
-    elif name == "xnor":
-        gate = TriangleXorGate(xnor=True)
-        n = 2
-        evaluate = lambda bits: gate.evaluate(bits).outputs
-    elif name == "maj5":
-        gate = TriangleMajority5Gate()
-        n = 5
-        evaluate = gate.evaluate
-    elif name in ("and", "or", "nand", "nor"):
-        gate = DerivedTriangleGate(name)
-        n = 2
-        evaluate = lambda bits: gate.evaluate(*bits).outputs
-    else:
-        print(f"unknown gate {args.gate!r}; choose from maj3, nmaj3, "
-              "xor, xnor, maj5, and, or, nand, nor", file=sys.stderr)
-        return 2
-
+    gates = {  # name -> (inputs, gate factory)
+        "maj3": (3, TriangleMajorityGate),
+        "nmaj3": (3, partial(TriangleMajorityGate, invert_output=True)),
+        "xor": (2, TriangleXorGate),
+        "xnor": (2, partial(TriangleXorGate, xnor=True)),
+        "maj5": (5, TriangleMajority5Gate),
+        **{name: (2, partial(DerivedTriangleGate, name))
+           for name in ("and", "or", "nand", "nor")},
+    }
+    if args.gate.lower() not in gates:
+        return _fail(f"unknown gate {args.gate!r}; choose from "
+                     f"{', '.join(gates)}")
+    n, factory = gates[args.gate.lower()]
+    gate = factory()
     patterns = input_patterns(n)
     rows = []
     for bits in patterns:
-        outputs = evaluate(bits)
-        rows.append([outputs["O1"].logic_value,
-                     outputs["O2"].logic_value])
+        result = (gate.evaluate(*bits)
+                  if isinstance(gate, DerivedTriangleGate)
+                  else gate.evaluate(bits))
+        outputs = getattr(result, "outputs", result)
+        rows.append([outputs["O1"].logic_value, outputs["O2"].logic_value])
     print(format_truth_table(patterns, ["O1", "O2"], rows,
                              [f"I{i + 1}" for i in range(n)],
                              title=f"{args.gate.upper()} "
@@ -121,40 +73,37 @@ def _cmd_truth_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from .core import PAPER_TABLE_I, paper_table_i_gate
+def _print_paper_table(gate, reference, title: str) -> int:
+    """Our normalised outputs of a paper gate beside the published
+    ones, rows ordered with the last input most significant."""
     from .core.logic import input_patterns
     from .io import format_truth_table
 
-    table = paper_table_i_gate().normalized_output_table()
-    patterns = sorted(input_patterns(3), key=lambda b: (b[2], b[1], b[0]))
+    n = len(next(iter(reference)))
+    table = gate.normalized_output_table()
+    patterns = sorted(input_patterns(n), key=lambda b: b[::-1])
     rows = [[f"{table[b][0]:.3f}", f"{table[b][1]:.3f}",
-             str(PAPER_TABLE_I[b][0]), str(PAPER_TABLE_I[b][1])]
+             str(reference[b][0]), str(reference[b][1])]
             for b in patterns]
     print(format_truth_table(
-        [tuple(reversed(b)) for b in patterns],
+        [b[::-1] for b in patterns],
         ["O1 (ours)", "O2 (ours)", "O1 (paper)", "O2 (paper)"],
-        rows, ["I3", "I2", "I1"],
-        title="TABLE I -- FO2 MAJ3 normalised outputs"))
+        rows, [f"I{i}" for i in range(n, 0, -1)], title=title))
     return 0
+
+
+def _cmd_table1(args: argparse.Namespace) -> int:
+    from .core import PAPER_TABLE_I, paper_table_i_gate
+
+    return _print_paper_table(paper_table_i_gate(), PAPER_TABLE_I,
+                              "TABLE I -- FO2 MAJ3 normalised outputs")
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     from .core import PAPER_TABLE_II, paper_table_ii_gate
-    from .core.logic import input_patterns
-    from .io import format_truth_table
 
-    table = paper_table_ii_gate().normalized_output_table()
-    patterns = sorted(input_patterns(2), key=lambda b: (b[1], b[0]))
-    rows = [[f"{table[b][0]:.3f}", f"{table[b][1]:.3f}",
-             str(PAPER_TABLE_II[b][0]), str(PAPER_TABLE_II[b][1])]
-            for b in patterns]
-    print(format_truth_table(
-        [tuple(reversed(b)) for b in patterns],
-        ["O1 (ours)", "O2 (ours)", "O1 (paper)", "O2 (paper)"],
-        rows, ["I2", "I1"],
-        title="TABLE II -- FO2 XOR normalised outputs"))
-    return 0
+    return _print_paper_table(paper_table_ii_gate(), PAPER_TABLE_II,
+                              "TABLE II -- FO2 XOR normalised outputs")
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
@@ -171,8 +120,6 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    import math
-
     from .core import paper_maj3_dimensions, paper_xor_dimensions
     from .physics import FECOB, DispersionRelation, FilmStack
 
@@ -223,9 +170,7 @@ def _build_tls(args: argparse.Namespace):
     """
     from .cluster import tls_config
 
-    return tls_config(cert=getattr(args, "tls_cert", None),
-                      key=getattr(args, "tls_key", None),
-                      ca=getattr(args, "tls_ca", None))
+    return tls_config(cert=args.tls_cert, key=args.tls_key, ca=args.tls_ca)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -234,7 +179,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .errors import ClusterConfigError
     from .micromag.experiments import sweep_gate_truth_table
     from .resilience import JobJournal
-    from .runtime import DiskCache, Executor, JobFailed, create_backend
+    from .runtime import Executor, JobFailed, create_backend
 
     try:
         tls = _build_tls(args)
@@ -251,9 +196,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 n = client.require_ready()
             print(f"cluster backend {args.backend}: {n} worker(s) ready")
     except ClusterConfigError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
-    cache = None if args.no_cache else DiskCache(root=args.cache_dir)
+        return _fail(f"sweep: {exc}")
+    cache = _cache(args)
     journal = None
     if args.resume or args.journal:
         journal_path = args.journal or os.path.join(
@@ -269,8 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep = sweep_gate_truth_table(args.gate, tier=args.tier,
                                        executor=executor)
     except JobFailed as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"sweep failed: {exc}", 1)
     finally:
         if journal is not None:
             journal.close()
@@ -300,7 +243,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .runtime import DiskCache, Executor, JobFailed
+    from .runtime import Executor, JobFailed
     from .surrogate import (
         AxisSpec,
         CharacterizationStore,
@@ -314,23 +257,20 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         for text in args.axis:
             name, _, values = text.partition("=")
             if not values:
-                print(f"characterize: bad --axis {text!r}; expected "
-                      "NAME=V1,V2,...", file=sys.stderr)
-                return 2
+                return _fail(f"characterize: bad --axis {text!r}; "
+                             "expected NAME=V1,V2,...")
             try:
                 parsed.append(AxisSpec(
                     name.strip(),
                     tuple(float(v) for v in values.split(","))))
             except ValueError as exc:
-                print(f"characterize: {exc}", file=sys.stderr)
-                return 2
+                return _fail(f"characterize: {exc}")
         axes = tuple(parsed)
 
     store = CharacterizationStore(args.store)
     dataset = store.dataset(args.gate, tier=args.tier, axes=axes,
                             n_trials=args.n_trials)
-    cache = None if args.no_cache else DiskCache(root=args.cache_dir)
-    executor = Executor(workers=args.workers, cache=cache)
+    executor = Executor(workers=args.workers, cache=_cache(args))
     known = len(dataset.records())
     print(f"characterizing {args.gate}@{args.tier}: "
           f"{dataset.grid_size} grid corners "
@@ -338,8 +278,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     try:
         records = characterize(dataset, executor=executor)
     except JobFailed as exc:
-        print(f"characterize failed: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"characterize failed: {exc}", 1)
     model = fit_surrogate(records.values(), kind=args.kind,
                           residual_threshold=args.residual_threshold)
     path = args.model or store.model_path(args.gate)
@@ -379,9 +318,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     arity = GATE_ARITY[args.gate]
     bits_text = args.bits if args.bits is not None else "1" * arity
     if len(bits_text) != arity or set(bits_text) - {"0", "1"}:
-        print(f"profile: --bits must be {arity} binary digits for "
-              f"{args.gate}, got {bits_text!r}", file=sys.stderr)
-        return 2
+        return _fail(f"profile: --bits must be {arity} binary digits "
+                     f"for {args.gate}, got {bits_text!r}")
     bits = tuple(int(c) for c in bits_text)
 
     # Under a global ``--trace`` the observer is already attached and
@@ -414,30 +352,26 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .errors import ClusterConfigError
-    from .serve import GateService, ServeConfig
+    import dataclasses
 
-    config = ServeConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        max_queue=args.max_queue, rate=args.rate, burst=args.burst,
-        batch_window_ms=args.batch_window_ms, batch_max=args.batch_max,
-        timeout=args.timeout, access_log=args.access_log,
-        drain_timeout=args.drain_timeout,
-        deadline_s=args.deadline_s,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=args.breaker_reset_s,
-        surrogate_dir=args.surrogate_dir,
-        backend=args.backend, prefork=args.prefork)
+    from .errors import ClusterConfigError
+    from .serve import GateService, ServeConfig, run_prefork
+
+    # Every serve flag is named after the ServeConfig field it sets;
+    # the global --trace is the CLI's own span file, not the service's
+    # periodic flush target.
+    config = ServeConfig(**{field.name: getattr(args, field.name)
+                            for field in dataclasses.fields(ServeConfig)
+                            if field.name != "trace"
+                            and hasattr(args, field.name)})
+    if args.no_cache:
+        config.cache_dir = None
     try:
         if config.prefork:
-            from .serve import run_prefork
-
             return run_prefork(config)
         return GateService(config).run()
     except ClusterConfigError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"serve: {exc}")
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -452,11 +386,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
                    reconnect_window=args.reconnect_window,
                    tls=_build_tls(args))
     except ClusterConfigError as exc:
-        print(f"worker: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"worker: {exc}")
     except ClusterAuthError as exc:
-        print(f"worker: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"worker: {exc}", 3)
     except KeyboardInterrupt:
         pass
     return 0
@@ -471,64 +403,47 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     try:
         tls = _build_tls(args)
     except ClusterConfigError as exc:
-        print(f"cluster {args.action}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"cluster {args.action}: {exc}")
 
-    if args.action == "supervise":
-        from .cluster import run_supervised
+    if args.action in ("start", "supervise"):
+        from .cluster import run_supervised, serve_coordinator
+
+        cache_dir = None if args.no_cache else args.cache_dir
+        coordinator_args = dict(
+            host=args.host, port=args.port, cache_dir=cache_dir,
+            journal_path=args.journal, secret=args.secret,
+            retries=args.retries, heartbeat_timeout=args.heartbeat_timeout,
+            tls=tls)
+
+        def announce(coordinator) -> None:
+            print(f"cluster coordinator on {coordinator.url} "
+                  f"(cache={cache_dir or 'off'}, "
+                  f"journal={args.journal or 'off'}); workers join with:\n"
+                  f"  python -m repro worker {coordinator.url}")
+            replayed = coordinator.journal_replayed
+            if replayed["completed"] or replayed["interrupted"]:
+                print(f"journal replay: {replayed['completed']} completed, "
+                      f"{replayed['interrupted']} interrupted job(s) "
+                      f"requeued")
 
         try:
-            return run_supervised(
-                host=args.host, port=args.port,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                journal_path=args.journal, secret=args.secret,
-                retries=args.retries,
-                heartbeat_timeout=args.heartbeat_timeout, tls=tls,
-                max_restarts=args.max_restarts, pid_file=args.pid_file)
+            if args.action == "start":
+                return serve_coordinator(**coordinator_args,
+                                         on_ready=announce)
+            return run_supervised(**coordinator_args,
+                                  max_restarts=args.max_restarts,
+                                  pid_file=args.pid_file)
         except ClusterConfigError as exc:
-            print(f"cluster supervise: {exc}", file=sys.stderr)
-            return 2
+            return _fail(f"cluster {args.action}: {exc}")
         except KeyboardInterrupt:
             return 0
-
-    if args.action == "start":
-        from .cluster import Coordinator
-        from .resilience import JobJournal
-        from .runtime import DiskCache
-
-        cache = None if args.no_cache else DiskCache(root=args.cache_dir)
-        journal = None
-        if args.journal:
-            # resume=True: a restarted coordinator replays the journal
-            # instead of truncating it, requeueing interrupted jobs.
-            journal = JobJournal(args.journal, resume=True)
-        coordinator = Coordinator(
-            host=args.host, port=args.port, cache=cache, journal=journal,
-            secret=args.secret, retries=args.retries,
-            heartbeat_timeout=args.heartbeat_timeout, tls=tls)
-        print(f"cluster coordinator on {coordinator.url} "
-              f"(cache={'off' if cache is None else args.cache_dir}, "
-              f"journal={args.journal or 'off'}); workers join with:\n"
-              f"  python -m repro worker {coordinator.url}")
-        replayed = coordinator.journal_replayed
-        if replayed["completed"] or replayed["interrupted"]:
-            print(f"journal replay: {replayed['completed']} completed, "
-                  f"{replayed['interrupted']} interrupted job(s) "
-                  f"requeued")
-        try:
-            coordinator.serve_forever()
-        finally:
-            if journal is not None:
-                journal.close()
-        return 0
 
     from .cluster import ClusterClient
 
     if not args.url:
-        print(f"cluster {args.action}: coordinator URL required, e.g. "
-              f"python -m repro cluster {args.action} tcp://127.0.0.1:7421",
-              file=sys.stderr)
-        return 2
+        return _fail(f"cluster {args.action}: coordinator URL required, "
+                     f"e.g. python -m repro cluster {args.action} "
+                     "tcp://127.0.0.1:7421")
     try:
         with ClusterClient(args.url, secret=args.secret,
                            tls=tls) as client:
@@ -538,8 +453,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 return 0
             status = client.status()
     except (ClusterConfigError, ClusterAuthError, ClusterError) as exc:
-        print(f"cluster {args.action}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"cluster {args.action}: {exc}")
     if args.json:
         print(json.dumps(status, indent=2, sort_keys=True))
         return 0
@@ -575,10 +489,30 @@ def _parse_size(text: str) -> int:
         factor = units[text[-1]]
         text = text[:-1]
     try:
-        return int(float(text) * factor)
+        size = float(text) * factor
     except ValueError:
+        size = math.nan
+    if not 0 <= size < math.inf:
         raise argparse.ArgumentTypeError(
             f"invalid size {text!r}; use e.g. 500000, 500K, 64M, 2G")
+    return int(size)
+
+
+def _number(kind: type, zero: bool = False):
+    """argparse ``type``: a finite ``kind`` (int or float) above zero,
+    or at least zero with ``zero``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (value >= 0 if zero else value > 0) or value == math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a {'non-negative' if zero else 'positive'} "
+                f"{kind.__name__}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -588,13 +522,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from .runtime.cache import cache_stats, prune_cache
 
     if args.json and args.action != "stats":
-        print("cache: --json only applies to 'stats'", file=sys.stderr)
-        return 2
+        return _fail("cache: --json only applies to 'stats'")
     if args.action == "prune":
         if args.max_bytes is None:
-            print("cache prune: --max-bytes is required "
-                  "(0 empties the cache)", file=sys.stderr)
-            return 2
+            return _fail("cache prune: --max-bytes is required "
+                         "(0 empties the cache)")
         result = prune_cache(args.cache_dir, args.max_bytes)
         print(f"pruned {result.removed} of {result.scanned} entries "
               f"({result.freed_bytes} bytes freed); "
@@ -623,9 +555,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from .runtime.cache import atomic_write
 
     if args.report is not None and not args.characterize:
-        print("compile: --report requires --characterize",
-              file=sys.stderr)
-        return 2
+        return _fail("compile: --report requires --characterize")
     overrides = {}
     if args.rules is not None:
         text = args.rules
@@ -635,12 +565,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         try:
             parsed = json.loads(text)
         except ValueError as exc:
-            print(f"compile: bad --rules JSON: {exc}", file=sys.stderr)
-            return 2
+            return _fail(f"compile: bad --rules JSON: {exc}")
         if not isinstance(parsed, dict):
-            print("compile: --rules must be a JSON object",
-                  file=sys.stderr)
-            return 2
+            return _fail("compile: --rules must be a JSON object")
         overrides.update(parsed)
     for name in ("gate_clearance", "row_clearance", "col_clearance"):
         value = getattr(args, name)
@@ -649,23 +576,20 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     try:
         rules = DesignRules.from_dict(overrides) if overrides else None
     except (TypeError, ValueError) as exc:
-        print(f"compile: bad rule deck: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"compile: bad rule deck: {exc}")
 
     executor = None
     if args.characterize:
-        from .runtime import DiskCache, Executor
+        from .runtime import Executor
 
-        cache = None if args.no_cache else DiskCache(root=args.cache_dir)
-        executor = Executor(workers=args.workers, cache=cache)
+        executor = Executor(workers=args.workers, cache=_cache(args))
     try:
         result = compile_spec(args.spec, rules=rules,
                               characterize_circuit=args.characterize,
                               tier=args.tier, executor=executor,
                               raise_on_violation=False)
     except ValueError as exc:
-        print(f"compile: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"compile: {exc}")
 
     stats = result.placement.stats()
     kinds = ", ".join(f"{kind} x{count}"
@@ -758,10 +682,9 @@ def _cmd_debug(args: argparse.Namespace) -> int:
     directory = args.dir or flight.default_dir()
     path = flight.latest_dump(directory)
     if path is None:
-        print(f"debug dump: no flight dumps under {directory} "
-              "(they appear on crashes, divergences and SIGUSR2)",
-              file=sys.stderr)
-        return 1
+        return _fail(f"debug dump: no flight dumps under {directory} "
+                     "(they appear on crashes, divergences and SIGUSR2)",
+                     1)
     if args.json:
         sys.stdout.write(path.read_text(encoding="utf-8"))
         return 0
@@ -784,24 +707,49 @@ def _cmd_debug(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_tls_flags(parser: argparse.ArgumentParser) -> None:
-    """Shared ``--tls-*`` flags for cluster-facing subcommands.
+def _add_flags(parser: argparse.ArgumentParser, rows) -> None:
+    """Declare valued flags from ``(flag, type, default, metavar,
+    help)`` rows."""
+    for flag, kind, default, metavar, help_text in rows:
+        parser.add_argument(flag, type=kind, default=default,
+                            metavar=metavar, help=help_text)
 
-    cert+key are a pair (partial config is a typed error); --tls-ca
-    additionally pins the peer certificate on both sides.
-    """
-    parser.add_argument("--tls-cert", metavar="PEM", default=None,
-                        help="TLS certificate chain for this endpoint "
-                             "(requires --tls-key)")
-    parser.add_argument("--tls-key", metavar="PEM", default=None,
-                        help="private key for --tls-cert")
-    parser.add_argument("--tls-ca", metavar="PEM", default=None,
-                        help="CA bundle; peers must present a "
-                             "certificate it signed")
+
+def _shared_flags():
+    """argparse parents for the flags several subcommands share:
+    ``(engine, cache, cluster)``."""
+    from .runtime.cache import DEFAULT_CACHE_ROOT
+
+    # The global engine flags, accepted after the subcommand too
+    # (``sweep maj3 --no-cache``); SUPPRESS keeps the subparser from
+    # clobbering values parsed at the top level.
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--workers", type=int, metavar="N",
+                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    engine.add_argument("--no-cache", action="store_true",
+                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache-dir", default=DEFAULT_CACHE_ROOT,
+                       help="result-cache directory (default %(default)s)")
+    # Cluster-facing flags: cert+key are a pair (partial config is a
+    # typed error); --tls-ca additionally pins the peer certificate on
+    # both sides.
+    cluster = argparse.ArgumentParser(add_help=False)
+    _add_flags(cluster, (
+        ("--secret", None, None, None,
+         "cluster shared secret (default $REPRO_CLUSTER_SECRET)"),
+        ("--tls-cert", None, None, "PEM",
+         "TLS certificate chain for this endpoint (requires --tls-key)"),
+        ("--tls-key", None, None, "PEM", "private key for --tls-cert"),
+        ("--tls-ca", None, None, "PEM",
+         "CA bundle; peers must present a certificate it signed")))
+    return engine, cache, cluster
 
 
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
+    from .micromag.experiments import GATE_ARITY, TIERS
+    from .serve.app import ServeConfig
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -817,106 +765,79 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache "
                              "(.repro_cache/)")
-    parser.add_argument("--trace", metavar="FILE", default=None,
-                        help="write a span trace of the command: Chrome "
-                             "trace-event JSON (open in Perfetto), or a "
-                             "JSONL span log when FILE ends in .jsonl")
-    parser.add_argument("--log-level", metavar="LEVEL", default=None,
-                        help="enable repro logging at LEVEL "
-                             "(debug, info, warning, ...)")
+    _add_flags(parser, (
+        ("--trace", None, None, "FILE",
+         "write a span trace of the command: Chrome trace-event JSON "
+         "(open in Perfetto), or a JSONL span log when FILE ends in "
+         ".jsonl"),
+        ("--log-level", None, None, "LEVEL",
+         "enable repro logging at LEVEL (debug, info, warning, ...)")))
     sub = parser.add_subparsers(dest="command")
+    engine, cache, cluster = _shared_flags()
+    gates = list(GATE_ARITY)
 
-    p_tt = sub.add_parser("truth-table",
-                          help="evaluate a gate on all input patterns")
-    p_tt.add_argument("gate", help="maj3 | nmaj3 | xor | xnor | maj5 | "
-                                   "and | or | nand | nor")
-    p_tt.set_defaults(func=_cmd_truth_table)
-
-    for name, func, help_text in (
-            ("table1", _cmd_table1, "reproduce Table I"),
-            ("table2", _cmd_table2, "reproduce Table II"),
-            ("table3", _cmd_table3, "reproduce Table III")):
-        p = sub.add_parser(name, help=help_text)
+    def command(name, func, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=list(parents))
         p.set_defaults(func=func)
+        return p
 
-    p_design = sub.add_parser("design",
-                              help="gate dimensions for a wavelength")
-    p_design.add_argument("--wavelength-nm", type=float, default=55.0)
-    p_design.set_defaults(func=_cmd_design)
+    command("truth-table", _cmd_truth_table,
+            "evaluate a gate on all input patterns"
+            ).add_argument("gate", help="maj3 | nmaj3 | xor | xnor | maj5 "
+                                        "| and | or | nand | nor")
+    command("table1", _cmd_table1, "reproduce Table I")
+    command("table2", _cmd_table2, "reproduce Table II")
+    command("table3", _cmd_table3, "reproduce Table III")
+    command("design", _cmd_design, "gate dimensions for a wavelength"
+            ).add_argument("--wavelength-nm", type=_number(float),
+                           default=55.0)
+    command("adder", _cmd_adder, "n-bit adder comparison vs CMOS"
+            ).add_argument("width", type=_number(int))
 
-    p_adder = sub.add_parser("adder",
-                             help="n-bit adder comparison vs CMOS")
-    p_adder.add_argument("width", type=int)
-    p_adder.set_defaults(func=_cmd_adder)
-
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="truth-table grid through the parallel/cached engine")
-    p_sweep.add_argument("gate", choices=["maj3", "xor"])
-    p_sweep.add_argument("--tier",
-                         choices=["surrogate", "network", "fdtd", "llg"],
-                         default="fdtd",
+    p_sweep = command("sweep", _cmd_sweep,
+                      "truth-table grid through the parallel/cached engine",
+                      engine, cache, cluster)
+    p_sweep.add_argument("gate", choices=gates)
+    p_sweep.add_argument("--tier", choices=TIERS, default="fdtd",
                          help="evaluation tier (default fdtd: real wave "
                               "solves, seconds per cold input; "
                               "surrogate needs a fitted model -- run "
                               "'characterize' first)")
-    p_sweep.add_argument("--cache-dir", default=".repro_cache",
-                         help="result-cache directory")
-    p_sweep.add_argument("--timeout", type=float, default=None,
-                         help="per-job wall-time bound [s]")
-    p_sweep.add_argument("--retries", type=int, default=2,
-                         help="retry attempts per failed job")
-    p_sweep.add_argument("--json", metavar="PATH",
-                         help="dump the telemetry RunReport as JSON")
+    _add_flags(p_sweep, (
+        ("--timeout", float, None, None, "per-job wall-time bound [s]"),
+        ("--retries", int, 2, None, "retry attempts per failed job"),
+        ("--json", None, None, "PATH",
+         "dump the telemetry RunReport as JSON")))
     p_sweep.add_argument("--resume", action="store_true",
                          help="replay the job journal and skip completed "
                               "jobs (restarting interrupted ones)")
-    p_sweep.add_argument("--journal", metavar="PATH", default=None,
-                         help="write-ahead job journal path (default "
-                              "<cache-dir>/journal-<gate>-<tier>.jsonl "
-                              "when journalling is on; --resume implies "
-                              "journalling)")
-    p_sweep.add_argument("--backend", metavar="URL", default=None,
-                         help="execution backend: 'local' (default) or "
-                              "tcp://host:port of a cluster coordinator "
-                              "(docs/CLUSTER.md)")
-    p_sweep.add_argument("--secret", default=None,
-                         help="cluster shared secret (default "
-                              "$REPRO_CLUSTER_SECRET)")
-    _add_tls_flags(p_sweep)
-    # Accept the global engine flags after the subcommand too
-    # (``sweep maj3 --no-cache``); SUPPRESS keeps the subparser from
-    # clobbering values parsed at the top level.
-    p_sweep.add_argument("--workers", type=int, metavar="N",
-                         default=argparse.SUPPRESS,
-                         help=argparse.SUPPRESS)
-    p_sweep.add_argument("--no-cache", action="store_true",
-                         default=argparse.SUPPRESS,
-                         help=argparse.SUPPRESS)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    _add_flags(p_sweep, (
+        ("--journal", None, None, "PATH",
+         "write-ahead job journal path (default "
+         "<cache-dir>/journal-<gate>-<tier>.jsonl when journalling is "
+         "on; --resume implies journalling)"),
+        ("--backend", None, None, "URL",
+         "execution backend: 'local' (default) or tcp://host:port of a "
+         "cluster coordinator (docs/CLUSTER.md)")))
 
-    p_profile = sub.add_parser(
-        "profile",
-        help="run one gate case under the span tracer; print top spans")
-    p_profile.add_argument("gate", choices=["maj3", "xor"])
-    p_profile.add_argument("--tier",
-                           choices=["surrogate", "network", "fdtd", "llg"],
-                           default="fdtd",
+    p_profile = command(
+        "profile", _cmd_profile,
+        "run one gate case under the span tracer; print top spans")
+    p_profile.add_argument("gate", choices=gates)
+    p_profile.add_argument("--tier", choices=TIERS, default="fdtd",
                            help="evaluation tier to profile "
                                 "(default fdtd)")
-    p_profile.add_argument("--bits", default=None, metavar="PATTERN",
-                           help="input pattern, e.g. 011 "
-                                "(default: all ones)")
-    p_profile.add_argument("--top", type=int, default=12, metavar="N",
-                           help="span names to show in the summary "
-                                "(default 12)")
-    p_profile.set_defaults(func=_cmd_profile)
+    _add_flags(p_profile, (
+        ("--bits", None, None, "PATTERN",
+         "input pattern, e.g. 011 (default: all ones)"),
+        ("--top", int, 12, "N",
+         "span names to show in the summary (default %(default)s)")))
 
-    p_char = sub.add_parser(
-        "characterize",
-        help="sweep a gate over the characterization axes and fit the "
-             "surrogate tier's model (docs/SURROGATE.md)")
-    p_char.add_argument("gate", choices=["maj3", "xor"])
+    p_char = command(
+        "characterize", _cmd_characterize,
+        "sweep a gate over the characterization axes and fit the "
+        "surrogate tier's model (docs/SURROGATE.md)", engine, cache)
+    p_char.add_argument("gate", choices=gates)
     p_char.add_argument("--tier", choices=["network", "fdtd"],
                         default="network",
                         help="source tier the corners are evaluated "
@@ -928,146 +849,108 @@ def build_parser() -> argparse.ArgumentParser:
                              "--axis phase_noise=0,0.1,0.2 (repeatable; "
                              "axes: phase_noise, frequency_detune, "
                              "geometry_jitter, temperature)")
-    p_char.add_argument("--n-trials", type=int, default=64, metavar="N",
-                        help="Monte-Carlo trials per corner for the "
-                             "error-rate response (default 64)")
-    p_char.add_argument("--store", default=".repro_characterization",
-                        metavar="DIR",
-                        help="characterization store root (default "
-                             ".repro_characterization/; the surrogate "
-                             "tier reads $REPRO_SURROGATE_DIR or the "
-                             "default)")
     p_char.add_argument("--kind", choices=["multilinear", "rbf"],
                         default="multilinear",
                         help="surrogate model family (default "
                              "multilinear; rbf accepts scattered "
                              "records)")
-    p_char.add_argument("--residual-threshold", type=float, default=0.25,
-                        metavar="R",
-                        help="leave-one-out residual above which "
-                             "queries fall back to the network tier "
-                             "(default 0.25)")
-    p_char.add_argument("--model", metavar="PATH", default=None,
-                        help="write the fitted model here instead of "
-                             "<store>/<gate>.surrogate.npz")
-    p_char.add_argument("--json", metavar="PATH", default=None,
-                        help="write a machine-readable fit summary")
-    p_char.add_argument("--cache-dir", default=".repro_cache",
-                        help="result-cache directory")
-    p_char.add_argument("--workers", type=int, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    p_char.add_argument("--no-cache", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    p_char.set_defaults(func=_cmd_characterize)
+    _add_flags(p_char, (
+        ("--n-trials", int, 64, "N",
+         "Monte-Carlo trials per corner for the error-rate response "
+         "(default %(default)s)"),
+        ("--store", None, ".repro_characterization", "DIR",
+         "characterization store root (default %(default)s/; the "
+         "surrogate tier reads $REPRO_SURROGATE_DIR or the default)"),
+        ("--residual-threshold", float, 0.25, "R",
+         "leave-one-out residual above which queries fall back to the "
+         "network tier (default %(default)s)"),
+        ("--model", None, None, "PATH",
+         "write the fitted model here instead of "
+         "<store>/<gate>.surrogate.npz"),
+        ("--json", None, None, "PATH",
+         "write a machine-readable fit summary")))
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="HTTP gate-evaluation service (coalescing, batching, "
-             "backpressure; see docs/SERVING.md)")
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=8077,
-                         help="TCP port (default 8077; 0 = ephemeral)")
-    p_serve.add_argument("--max-queue", type=int, default=64, metavar="N",
-                         help="jobs queued-or-running before new work "
-                              "is rejected with 429 (default 64)")
-    p_serve.add_argument("--rate", type=float, default=None, metavar="R",
-                         help="token-bucket admission rate in new "
-                              "jobs/s (default unlimited)")
-    p_serve.add_argument("--burst", type=float, default=None, metavar="B",
-                         help="token-bucket burst capacity "
-                              "(default max(1, rate))")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         metavar="MS",
-                         help="micro-batch collection window for "
-                              "network-tier requests (default 2 ms)")
-    p_serve.add_argument("--batch-max", type=int, default=16, metavar="N",
-                         help="flush a micro-batch at this many jobs "
-                              "(default 16)")
-    p_serve.add_argument("--timeout", type=float, default=None,
-                         help="per-job wall-time bound for solver "
-                              "tiers [s]")
-    p_serve.add_argument("--cache-dir", default=".repro_cache",
-                         help="result-cache directory")
-    p_serve.add_argument("--access-log", metavar="PATH", default=None,
-                         help="write a JSONL access log to PATH")
-    p_serve.add_argument("--drain-timeout", type=float, default=30.0,
-                         metavar="S",
-                         help="max seconds to wait for in-flight work "
-                              "on shutdown (default 30)")
-    p_serve.add_argument("--deadline-s", type=float, default=None,
-                         metavar="S",
-                         help="default per-request deadline [s] "
-                              "(504 on expiry; the x-deadline-ms "
-                              "header overrides it)")
-    p_serve.add_argument("--breaker-threshold", type=int, default=5,
-                         metavar="N",
-                         help="consecutive failures that open a tier's "
-                              "circuit breaker (default 5)")
-    p_serve.add_argument("--breaker-reset-s", type=float, default=30.0,
-                         metavar="S",
-                         help="seconds an open circuit waits before "
-                              "admitting a probe (default 30)")
-    p_serve.add_argument("--surrogate-dir", metavar="DIR", default=None,
-                         help="characterization store the surrogate "
-                              "tier loads fitted models from (default "
-                              "$REPRO_SURROGATE_DIR or "
-                              ".repro_characterization/)")
-    p_serve.add_argument("--backend", metavar="URL", default=None,
-                         help="execution backend for solver tiers: "
-                              "'local' (default) or tcp://host:port of "
-                              "a cluster coordinator")
-    p_serve.add_argument("--prefork", type=int, default=0, metavar="N",
-                         help="fork N SO_REUSEPORT serve processes on "
-                              "one port (default 0 = single process; "
-                              "needs a fixed --port)")
-    p_serve.add_argument("--workers", type=int, metavar="N",
-                         default=argparse.SUPPRESS,
-                         help=argparse.SUPPRESS)
-    p_serve.add_argument("--no-cache", action="store_true",
-                         default=argparse.SUPPRESS,
-                         help=argparse.SUPPRESS)
-    p_serve.set_defaults(func=_cmd_serve)
+    # Every serve flag sets the ServeConfig field of its name and
+    # defaults to it.
+    p_serve = command(
+        "serve", _cmd_serve,
+        "HTTP gate-evaluation service (coalescing, batching, "
+        "backpressure; see docs/SERVING.md)", engine, cache)
+    config = ServeConfig()
+    _add_flags(p_serve, [
+        (flag, kind, getattr(config, flag[2:].replace("-", "_")), metavar,
+         help_text) for flag, kind, metavar, help_text in (
+            ("--host", None, None, "bind address (default %(default)s)"),
+            ("--port", int, None,
+             "TCP port (default %(default)s; 0 = ephemeral)"),
+            ("--max-queue", int, "N",
+             "jobs queued-or-running before new work is rejected with "
+             "429 (default %(default)s)"),
+            ("--rate", _number(float, zero=True), "R",
+             "token-bucket admission rate in new jobs/s (default "
+             "unlimited)"),
+            ("--burst", float, "B",
+             "token-bucket burst capacity (default max(1, rate))"),
+            ("--batch-window-ms", float, "MS",
+             "micro-batch collection window for network-tier requests "
+             "(default %(default)s ms)"),
+            ("--batch-max", int, "N",
+             "flush a micro-batch at this many jobs (default "
+             "%(default)s)"),
+            ("--timeout", float, None,
+             "per-job wall-time bound for solver tiers [s]"),
+            ("--access-log", None, "PATH",
+             "write a JSONL access log to PATH"),
+            ("--drain-timeout", float, "S",
+             "max seconds to wait for in-flight work on shutdown "
+             "(default %(default)s)"),
+            ("--deadline-s", float, "S",
+             "default per-request deadline [s] (504 on expiry; the "
+             "x-deadline-ms header overrides it)"),
+            ("--breaker-threshold", int, "N",
+             "consecutive failures that open a tier's circuit breaker "
+             "(default %(default)s)"),
+            ("--breaker-reset-s", float, "S",
+             "seconds an open circuit waits before admitting a probe "
+             "(default %(default)s)"),
+            ("--surrogate-dir", None, "DIR",
+             "characterization store the surrogate tier loads fitted "
+             "models from (default $REPRO_SURROGATE_DIR or "
+             ".repro_characterization/)"),
+            ("--backend", None, "URL",
+             "execution backend for solver tiers: 'local' (default) or "
+             "tcp://host:port of a cluster coordinator"),
+            ("--prefork", int, "N",
+             "fork N SO_REUSEPORT serve processes on one port (default "
+             "%(default)s = single process; needs a fixed --port)"))])
 
-    p_worker = sub.add_parser(
-        "worker",
-        help="join a repro.cluster coordinator and execute jobs "
-             "(see docs/CLUSTER.md)")
+    p_worker = command(
+        "worker", _cmd_worker,
+        "join a repro.cluster coordinator and execute jobs "
+        "(see docs/CLUSTER.md)", cluster)
     p_worker.add_argument("url", metavar="tcp://HOST:PORT",
                           help="coordinator address, e.g. "
                                "tcp://127.0.0.1:7421")
-    p_worker.add_argument("--capacity", type=int, default=1, metavar="N",
-                          help="jobs this worker runs concurrently "
-                               "(default 1)")
-    p_worker.add_argument("--name", default="",
-                          help="worker name shown in `cluster status` "
-                               "(default <hostname>:<pid>)")
-    p_worker.add_argument("--secret", default=None,
-                          help="cluster shared secret (default "
-                               "$REPRO_CLUSTER_SECRET)")
-    p_worker.add_argument("--dial-timeout", type=float, default=10.0,
-                          metavar="S",
-                          help="seconds to keep redialling an absent "
-                               "coordinator at startup (default 10)")
-    p_worker.add_argument("--dial-backoff", type=float, default=0.2,
-                          metavar="S",
-                          help="base delay between dial attempts; "
-                               "doubles per retry with jitter, capped "
-                               "at 2 s (default 0.2)")
-    p_worker.add_argument("--reconnect-window", type=float, default=60.0,
-                          metavar="S",
-                          help="seconds to redial a lost coordinator "
-                               "before the worker gives up "
-                               "(default 60)")
-    _add_tls_flags(p_worker)
-    p_worker.set_defaults(func=_cmd_worker)
+    _add_flags(p_worker, (
+        ("--capacity", int, 1, "N",
+         "jobs this worker runs concurrently (default %(default)s)"),
+        ("--name", None, "", None,
+         "worker name shown in `cluster status` (default "
+         "<hostname>:<pid>)"),
+        ("--dial-timeout", float, 10.0, "S",
+         "seconds to keep redialling an absent coordinator at startup "
+         "(default %(default)s)"),
+        ("--dial-backoff", float, 0.2, "S",
+         "base delay between dial attempts; doubles per retry with "
+         "jitter, capped at 2 s (default %(default)s)"),
+        ("--reconnect-window", float, 60.0, "S",
+         "seconds to redial a lost coordinator before the worker gives "
+         "up (default %(default)s)")))
 
-    p_cluster = sub.add_parser(
-        "cluster",
-        help="run or inspect a cluster coordinator "
-             "(see docs/CLUSTER.md)")
+    p_cluster = command(
+        "cluster", _cmd_cluster,
+        "run or inspect a cluster coordinator (see docs/CLUSTER.md)",
+        cache, cluster)
     p_cluster.add_argument("action",
                            choices=["start", "supervise", "status",
                                     "stop"],
@@ -1077,52 +960,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("url", nargs="?", default=None,
                            metavar="tcp://HOST:PORT",
                            help="coordinator address (status/stop)")
-    p_cluster.add_argument("--host", default="127.0.0.1",
-                           help="bind address for start "
-                                "(default 127.0.0.1)")
-    p_cluster.add_argument("--port", type=int, default=7421,
-                           help="TCP port for start (default 7421; "
-                                "0 = ephemeral)")
-    p_cluster.add_argument("--cache-dir", default=".repro_cache",
-                           help="shared result-cache directory "
-                                "(default .repro_cache)")
     p_cluster.add_argument("--no-cache", action="store_true",
                            help="run the coordinator without a shared "
                                 "cache tier")
-    p_cluster.add_argument("--journal", metavar="PATH", default=None,
-                           help="write-ahead job journal path")
-    p_cluster.add_argument("--secret", default=None,
-                           help="cluster shared secret (default "
-                                "$REPRO_CLUSTER_SECRET)")
-    p_cluster.add_argument("--retries", type=int, default=2, metavar="N",
-                           help="attempts per failing job beyond the "
-                                "first (default 2; worker deaths do "
-                                "not consume attempts)")
-    p_cluster.add_argument("--heartbeat-timeout", type=float, default=3.0,
-                           metavar="S",
-                           help="seconds without a heartbeat before a "
-                                "worker is declared lost and its jobs "
-                                "rescheduled (default 3.0)")
-    p_cluster.add_argument("--max-restarts", type=int, default=20,
-                           metavar="N",
-                           help="supervise: restart budget before "
-                                "giving up; 5 s of healthy uptime "
-                                "refills it (default 20)")
-    p_cluster.add_argument("--pid-file", metavar="PATH", default=None,
-                           help="supervise: write the live "
-                                "coordinator pid here after every "
-                                "(re)spawn")
-    _add_tls_flags(p_cluster)
     p_cluster.add_argument("--json", action="store_true",
                            help="machine-readable status output")
-    p_cluster.set_defaults(func=_cmd_cluster)
+    _add_flags(p_cluster, (
+        ("--host", None, "127.0.0.1", None,
+         "bind address for start (default %(default)s)"),
+        ("--port", int, 7421, None,
+         "TCP port for start (default %(default)s; 0 = ephemeral)"),
+        ("--journal", None, None, "PATH", "write-ahead job journal path"),
+        ("--retries", int, 2, "N",
+         "attempts per failing job beyond the first (default "
+         "%(default)s; worker deaths do not consume attempts)"),
+        ("--heartbeat-timeout", float, 3.0, "S",
+         "seconds without a heartbeat before a worker is declared lost "
+         "and its jobs rescheduled (default %(default)s)"),
+        ("--max-restarts", int, 20, "N",
+         "supervise: restart budget before giving up; 5 s of healthy "
+         "uptime refills it (default %(default)s)"),
+        ("--pid-file", None, None, "PATH",
+         "supervise: write the live coordinator pid here after every "
+         "(re)spawn")))
 
-    p_cache = sub.add_parser(
-        "cache",
-        help="inspect or prune the on-disk result cache")
+    p_cache = command("cache", _cmd_cache,
+                      "inspect or prune the on-disk result cache", cache)
     p_cache.add_argument("action", choices=["stats", "prune"])
-    p_cache.add_argument("--cache-dir", default=".repro_cache",
-                         help="result-cache directory")
     p_cache.add_argument("--max-bytes", type=_parse_size, default=None,
                          metavar="N",
                          help="prune: evict least-recently-used entries "
@@ -1132,12 +996,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stats: print the machine-readable usage "
                               "report (entries, bytes, per-salt split, "
                               "quarantine count)")
-    p_cache.set_defaults(func=_cmd_cache)
 
-    p_compile = sub.add_parser(
-        "compile",
-        help="compile a boolean-function spec into a placed, "
-             "DRC-checked triangle-gate fabric (docs/COMPILER.md)")
+    p_compile = command(
+        "compile", _cmd_compile,
+        "compile a boolean-function spec into a placed, DRC-checked "
+        "triangle-gate fabric (docs/COMPILER.md)", engine, cache)
     p_compile.add_argument(
         "spec",
         help="builtin name (maj3, xor2, full_adder, parity4, and_or), "
@@ -1150,40 +1013,26 @@ def build_parser() -> argparse.ArgumentParser:
                            default="network",
                            help="simulation tier for the characterizer's "
                                 "error sweeps (default network)")
-    p_compile.add_argument("--rules", metavar="JSON", default=None,
-                           help="design-rule deck overrides: inline JSON "
-                                "or a JSON file path")
-    p_compile.add_argument("--gate-clearance", type=float, default=None,
-                           metavar="L",
-                           help="required minimum gate spacing [lambda]")
-    p_compile.add_argument("--row-clearance", type=float, default=None,
-                           metavar="L",
-                           help="placer vertical packing target [lambda]")
-    p_compile.add_argument("--col-clearance", type=float, default=None,
-                           metavar="L",
-                           help="placer horizontal packing target "
-                                "[lambda]")
-    p_compile.add_argument("--out", metavar="PATH", default=None,
-                           help="write the full compile result "
-                                "(netlist + placement + DRC) as JSON")
-    p_compile.add_argument("--report", metavar="PATH", default=None,
-                           help="write the characterization report as "
-                                "JSON (requires --characterize)")
-    p_compile.add_argument("--cache-dir", default=".repro_cache",
-                           help="result-cache directory for "
-                                "characterization sweeps")
-    p_compile.add_argument("--workers", type=int, metavar="N",
-                           default=argparse.SUPPRESS,
-                           help=argparse.SUPPRESS)
-    p_compile.add_argument("--no-cache", action="store_true",
-                           default=argparse.SUPPRESS,
-                           help=argparse.SUPPRESS)
-    p_compile.set_defaults(func=_cmd_compile)
+    _add_flags(p_compile, (
+        ("--rules", None, None, "JSON",
+         "design-rule deck overrides: inline JSON or a JSON file path"),
+        ("--gate-clearance", float, None, "L",
+         "required minimum gate spacing [lambda]"),
+        ("--row-clearance", float, None, "L",
+         "placer vertical packing target [lambda]"),
+        ("--col-clearance", float, None, "L",
+         "placer horizontal packing target [lambda]"),
+        ("--out", None, None, "PATH",
+         "write the full compile result (netlist + placement + DRC) as "
+         "JSON"),
+        ("--report", None, None, "PATH",
+         "write the characterization report as JSON (requires "
+         "--characterize)")))
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="report or gate on the accumulated benchmark trajectory "
-             "(benchmarks/output/BENCH_TRAJECTORY.jsonl)")
+    p_bench = command(
+        "bench", _cmd_bench,
+        "report or gate on the accumulated benchmark trajectory "
+        "(benchmarks/output/BENCH_TRAJECTORY.jsonl)")
     p_bench.add_argument("action", choices=["report", "compare"],
                          help="report: sparkline history per metric "
                               "(exit 0 even when the trajectory is "
@@ -1191,25 +1040,18 @@ def build_parser() -> argparse.ArgumentParser:
                               "latest commit regressed beyond "
                               "--threshold, exit 3 when there is no "
                               "trajectory to gate on")
-    p_bench.add_argument("--trajectory", metavar="PATH",
-                         default="benchmarks/output/BENCH_TRAJECTORY.jsonl",
-                         help="trajectory JSONL file (default "
-                              "benchmarks/output/BENCH_TRAJECTORY.jsonl)")
-    p_bench.add_argument("--threshold", type=float, default=0.15,
-                         metavar="R",
-                         help="relative regression threshold "
-                              "(default 0.15 = 15 %%)")
-    p_bench.add_argument("--baseline-window", type=int, default=5,
-                         metavar="N",
-                         help="earlier-commit records forming the rolling "
-                              "baseline median (default 5)")
-    p_bench.add_argument("--bench", default=None, metavar="NAME",
-                         help="restrict to one benchmark name")
-    p_bench.set_defaults(func=_cmd_bench)
+    _add_flags(p_bench, (
+        ("--trajectory", None, "benchmarks/output/BENCH_TRAJECTORY.jsonl",
+         "PATH", "trajectory JSONL file (default %(default)s)"),
+        ("--threshold", float, 0.15, "R",
+         "relative regression threshold (default 0.15 = 15 %%)"),
+        ("--baseline-window", int, 5, "N",
+         "earlier-commit records forming the rolling baseline median "
+         "(default %(default)s)"),
+        ("--bench", None, None, "NAME", "restrict to one benchmark name")))
 
-    p_debug = sub.add_parser(
-        "debug",
-        help="inspect the flight recorder (docs/OBSERVABILITY.md)")
+    p_debug = command("debug", _cmd_debug,
+                      "inspect the flight recorder (docs/OBSERVABILITY.md)")
     p_debug.add_argument("action", choices=["dump"],
                          help="dump: print the most recent flight-"
                               "recorder dump")
@@ -1219,7 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_debug.add_argument("--json", action="store_true",
                          help="print the raw JSONL instead of the "
                               "formatted timeline")
-    p_debug.set_defaults(func=_cmd_debug)
     return parser
 
 
@@ -1241,9 +1082,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "func", None) is None:
         # No subcommand: print usage, conventional CLI misuse code.
         parser.print_usage(sys.stderr)
-        print("repro: error: a subcommand is required "
-              "(see 'python -m repro --help')", file=sys.stderr)
-        return 2
+        return _fail("repro: error: a subcommand is required "
+                     "(see 'python -m repro --help')")
 
     from . import obs
     from .resilience import faults
@@ -1259,16 +1099,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # deterministic fault injection for this process and (via the
         # inherited environment) its pool workers.
         faults.install_from_env()
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.log_level is not None:
-        try:
+        if args.log_level is not None:
             obs.setup_logging(args.log_level)
-        except ValueError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        return _fail(f"repro: error: {exc}")
     tracing = args.trace is not None
     if tracing:
         obs.enable()

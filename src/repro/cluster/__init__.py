@@ -49,7 +49,7 @@ from .protocol import (
     send_message,
     tls_config,
 )
-from .supervise import run_supervised
+from .supervise import run_supervised, serve_coordinator
 from .worker import Worker, run_worker
 
 __all__ = [
@@ -70,5 +70,6 @@ __all__ = [
     "run_worker",
     "send_frame",
     "send_message",
+    "serve_coordinator",
     "tls_config",
 ]

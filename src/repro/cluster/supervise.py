@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 import signal
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .. import obs
 from ..errors import ClusterConfigError
@@ -40,24 +40,48 @@ from ..resilience.supervisor import ProcessSupervisor
 from . import protocol
 from .coordinator import Coordinator
 
-__all__ = ["run_supervised"]
+__all__ = ["run_supervised", "serve_coordinator"]
 
 _LOG = obs.get_logger("cluster.supervise")
 
 
-def run_supervised(host: str = "127.0.0.1", port: int = 7421,
-                   cache_dir: Optional[str] = None,
-                   journal_path: Optional[str] = None,
-                   secret: Optional[str] = None,
-                   retries: int = 2,
-                   heartbeat_timeout: float = 3.0,
-                   tls: Optional[protocol.TlsConfig] = None,
-                   max_restarts: int = 20,
-                   pid_file: Optional[str] = None) -> int:
+def serve_coordinator(cache_dir: Optional[str] = None,
+                      journal_path: Optional[str] = None,
+                      on_ready: Optional[Callable[[Coordinator], None]]
+                      = None, **options: Any) -> int:
+    """Build a coordinator, serve until it stops, close its journal.
+
+    ``options`` are the :class:`Coordinator` arguments (``host``,
+    ``port``, ``secret``, ``retries``, ``heartbeat_timeout``, ``tls``)
+    with its defaults.  The journal is opened with ``resume=True``: a
+    restarted coordinator appends to its predecessor's journal and
+    replays it into queue state.  ``on_ready`` sees the bound
+    coordinator before it starts serving.  Returns 0.
+    """
+    from ..runtime.cache import DiskCache
+
+    cache = DiskCache(root=cache_dir) if cache_dir else None
+    journal = (JobJournal(journal_path, resume=True)
+               if journal_path else None)
+    coordinator = Coordinator(cache=cache, journal=journal, **options)
+    if on_ready is not None:
+        on_ready(coordinator)
+    try:
+        coordinator.serve_forever()
+    finally:
+        if journal is not None:
+            journal.close()
+    return 0
+
+
+def run_supervised(port: int, max_restarts: int = 20,
+                   pid_file: Optional[str] = None, **options: Any) -> int:
     """Run a coordinator under restart-with-backoff supervision.
 
-    Blocks until the supervisor exits (SIGTERM/SIGINT drain the child
-    gracefully).  Returns the worst child exit code.  Raises
+    ``port`` and ``options`` (the other :func:`serve_coordinator`
+    arguments) configure every incarnation.  Blocks until the
+    supervisor exits (SIGTERM/SIGINT drain the child gracefully).
+    Returns the worst child exit code.  Raises
     :class:`~repro.errors.ClusterConfigError` for an ephemeral port,
     bad TLS material or a fork-less platform -- all before any child
     starts.
@@ -67,37 +91,23 @@ def run_supervised(host: str = "127.0.0.1", port: int = 7421,
             "cluster supervise needs a fixed --port: an ephemeral "
             "port would change on every restart, stranding workers "
             "and clients")
-    if journal_path is None:
+    if options.get("journal_path") is None:
         _LOG.warning("supervising without --journal: restarts will "
                      "lose the queue (completed results still come "
                      "from the cache)")
-    if tls is not None:
-        protocol.server_tls_context(tls)  # fail fast on bad material
+    if options.get("tls") is not None:
+        protocol.server_tls_context(options["tls"])  # fail fast
 
-    def _child(slot: int) -> int:
-        from ..runtime.cache import DiskCache
-
-        cache = DiskCache(root=cache_dir) if cache_dir else None
-        # resume=True is the whole point: append to the predecessor's
-        # journal and replay it into queue state.
-        journal = (JobJournal(journal_path, resume=True)
-                   if journal_path else None)
-        coordinator = Coordinator(
-            host=host, port=port, cache=cache, journal=journal,
-            secret=secret, retries=retries,
-            heartbeat_timeout=heartbeat_timeout, tls=tls)
+    def _on_ready(coordinator: Coordinator) -> None:
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum,
                           lambda *_args: coordinator.request_stop())
         replayed = coordinator.journal_replayed
         if replayed["completed"] or replayed["interrupted"]:
             _LOG.info("coordinator %d resumed: %s", os.getpid(), replayed)
-        try:
-            coordinator.serve_forever()
-        finally:
-            if journal is not None:
-                journal.close()
-        return 0
+
+    def _child(slot: int) -> int:
+        return serve_coordinator(port=port, on_ready=_on_ready, **options)
 
     def _publish_pid(pid: int, _slot: int) -> None:
         if pid_file:

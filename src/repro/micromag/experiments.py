@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,21 +153,107 @@ def extract_dispersion(material: Material,
 
 GATE_ARITY = {"maj3": 3, "xor": 2}
 
-_UNMODELLED_KNOBS = ("phase_noise/geometry_jitter are characterization "
-                     "axes of the surrogate tier; the physical tiers do "
-                     "not model them")
-
-#: Degradation ladders per starting tier: each entry is walked left to
-#: right until a rung answers.  The surrogate's ladder falls through
-#: the network tier (the source its fits were characterized from) and
-#: on to FDTD, so even a chaos drill knocking out both instant tiers
-#: still produces a physically-grounded answer.
+#: Degradation ladders per starting tier, whose keys are the tiers a
+#: gate case can start on: each entry is walked left to right until a
+#: rung answers.  The surrogate's ladder falls through the network tier
+#: (the source its fits were characterized from) and on to FDTD, so
+#: even a chaos drill knocking out both instant tiers still produces a
+#: physically-grounded answer.
 _TIER_LADDERS = {
-    "llg": ("llg", "fdtd", "network"),
-    "fdtd": ("fdtd", "network"),
-    "network": ("network",),
     "surrogate": ("surrogate", "network", "fdtd"),
+    "network": ("network",),
+    "fdtd": ("fdtd", "network"),
+    "llg": ("llg", "fdtd", "network"),
 }
+TIERS = tuple(_TIER_LADDERS)
+
+#: Characterization axes only the surrogate tier models.  The physical
+#: tiers refuse nonzero values; a surrogate request that falls back to
+#: the network tier drops them and gets the nominal case.
+SURROGATE_ONLY_KNOBS = ("phase_noise", "geometry_jitter")
+
+_INTEGER = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _finite(value: Any, kinds: Tuple[type, ...] = _REAL) -> bool:
+    """A number of ``kinds`` (never a bool) that is finite as a float."""
+    try:
+        return (isinstance(value, kinds) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+#: The case parameters beyond gate/bits/tier: the test each value must
+#: pass and how the refusal describes it.
+_CASE_CHECKS = {
+    "calibrated": (lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
+    "frequency": (lambda v: v is None or _finite(v) and v > 0,
+                  "null or a finite positive number"),
+    "n_d1": (lambda v: _finite(v, _INTEGER) and v > 0,
+             "a positive integer"),
+    "cells_per_wavelength": (lambda v: _finite(v, _INTEGER) and v > 0,
+                             "a positive integer"),
+    "temperature": (lambda v: _finite(v) and v >= 0,
+                    "a finite non-negative number"),
+    "seed": (lambda v: v is None or _finite(v, _INTEGER),
+             "null or an integer"),
+    "phase_noise": (lambda v: _finite(v) and v >= 0,
+                    "a finite non-negative number"),
+    "geometry_jitter": (lambda v: _finite(v) and v >= 0,
+                        "a finite non-negative number"),
+}
+CASE_PARAMS = tuple(_CASE_CHECKS)
+_CASE_NAMES = frozenset(("gate", "bits", "tier") + CASE_PARAMS)
+
+
+def gate_arity(gate: Any) -> int:
+    """The number of inputs of ``gate``; ``ValueError`` if unknown."""
+    if not isinstance(gate, str) or gate not in GATE_ARITY:
+        raise ValueError(f"unknown gate {gate!r}; choose from "
+                         f"{sorted(GATE_ARITY)}")
+    return GATE_ARITY[gate]
+
+
+def check_gate_case(case: Mapping[str, Any]) -> int:
+    """Validate one gate case; return the gate's arity.
+
+    The contract every front door shares (:func:`run_gate_case`,
+    :func:`sweep_gate_truth_table`, ``POST /v1/gate`` and
+    ``/v1/sweep``).  ``case`` maps :func:`run_gate_case` parameter
+    names to values: ``gate`` is required, ``tier`` defaults to
+    ``"network"``, ``bits`` (when present) must be the gate's arity of
+    0/1 values, and each of :data:`CASE_PARAMS` must pass its type and
+    range check.  The :data:`SURROGATE_ONLY_KNOBS` must be zero off the
+    surrogate tier.  Values are checked, never rewritten; the first
+    violation raises ``ValueError``.
+    """
+    unknown = case.keys() - _CASE_NAMES
+    if unknown:
+        raise ValueError(f"unknown parameter(s): {sorted(unknown, key=str)}")
+    gate = case.get("gate")
+    arity = gate_arity(gate)
+    tier = case.get("tier", "network")
+    if not isinstance(tier, str) or tier not in _TIER_LADDERS:
+        raise ValueError(f"unknown tier {tier!r}; choose from {list(TIERS)}")
+    if "bits" in case:
+        bits = case["bits"]
+        if (not isinstance(bits, (list, tuple, np.ndarray))
+                or len(bits) != arity
+                or any(b not in (0, 1) for b in bits)):
+            raise ValueError(f"bits must be {arity} values of 0/1 for "
+                             f"{gate}, got {bits!r}")
+    for name, value in case.items():
+        check = _CASE_CHECKS.get(name)
+        if check is not None and not check[0](value):
+            raise ValueError(f"{name} must be {check[1]}, got {value!r}")
+    if tier != "surrogate" and any(case.get(name)
+                                   for name in SURROGATE_ONLY_KNOBS):
+        raise ValueError(f"{list(SURROGATE_ONLY_KNOBS)} are "
+                         "characterization axes of the surrogate tier; "
+                         "the physical tiers do not model them")
+    return arity
 
 
 def run_gate_case(gate: str, bits: Sequence[int], tier: str = "network",
@@ -242,21 +328,16 @@ def run_gate_case(gate: str, bits: Sequence[int], tier: str = "network",
         "expected", "correct", "fanout_matched"}``, plus
         ``"degraded_from"`` / ``"dt_halvings"`` when remediation acted.
     """
-    from ..core.logic import check_bits, majority, xor as xor_fn
+    from ..core.logic import majority, xor as xor_fn
 
-    if gate not in GATE_ARITY:
-        raise ValueError(f"unknown gate {gate!r}; choose from "
-                         f"{sorted(GATE_ARITY)}")
-    bits = check_bits(bits)
-    if len(bits) != GATE_ARITY[gate]:
-        raise ValueError(f"{gate} takes {GATE_ARITY[gate]} bits, "
-                         f"got {len(bits)}")
+    check_gate_case({
+        "gate": gate, "bits": bits, "tier": tier, "calibrated": calibrated,
+        "frequency": frequency, "n_d1": n_d1,
+        "cells_per_wavelength": cells_per_wavelength,
+        "temperature": temperature, "seed": seed,
+        "phase_noise": phase_noise, "geometry_jitter": geometry_jitter})
+    bits = tuple(int(b) for b in bits)
     expected = majority(*bits) if gate == "maj3" else xor_fn(*bits)
-    if tier not in _TIER_LADDERS:
-        raise ValueError(f"unknown tier {tier!r}; choose from "
-                         "'surrogate', 'network', 'fdtd', 'llg'")
-    if tier != "surrogate" and (phase_noise or geometry_jitter):
-        raise ValueError(_UNMODELLED_KNOBS)
 
     from ..errors import (
         FaultInjected,
@@ -614,18 +695,18 @@ def sweep_gate_truth_table(gate: str = "maj3", tier: str = "network",
     **case_kwargs:
         Extra :func:`run_gate_case` parameters (``frequency``,
         ``temperature``, ``n_d1``...), becoming part of the cache key.
+        The case is checked by :func:`check_gate_case` before any job
+        runs, on every tier.
     """
     from ..core.logic import input_patterns
     from ..runtime import Executor, JobSpec
 
-    if gate not in GATE_ARITY:
-        raise ValueError(f"unknown gate {gate!r}; choose from "
-                         f"{sorted(GATE_ARITY)}")
-    if tier == "fdtd" and (case_kwargs.get("phase_noise")
-                           or case_kwargs.get("geometry_jitter")):
-        raise ValueError(_UNMODELLED_KNOBS)
     if calibrated is None:
         calibrated = tier == "network"
+    case = {"gate": gate, "tier": tier, "calibrated": calibrated,
+            **case_kwargs}
+    case.pop("remediate", None)  # execution policy, not part of the case
+    arity = check_gate_case(case)
     if executor is None:
         executor = Executor(workers=workers, cache=cache)
 
@@ -641,7 +722,7 @@ def sweep_gate_truth_table(gate: str = "maj3", tier: str = "network",
             label=f"{gate}:{name}@fdtd") for name in instance.input_names]
     else:
         specs = []
-        for bits in input_patterns(GATE_ARITY[gate]):
+        for bits in input_patterns(arity):
             params = {"gate": gate, "bits": list(bits), "tier": tier,
                       "calibrated": calibrated}
             params.update(case_kwargs)

@@ -49,6 +49,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..errors import CircuitOpen, JobTimeout
+from ..micromag.experiments import (
+    SURROGATE_ONLY_KNOBS,
+    TIERS,
+    check_gate_case,
+    gate_arity,
+)
 from ..runtime.cache import DEFAULT_CACHE_ROOT, DiskCache, ResultCache
 from ..runtime.executor import Executor, JobFailed
 from ..runtime.report import utc_now_iso
@@ -56,16 +62,6 @@ from ..runtime.spec import JobSpec
 from .pipeline import GatePipeline, Overloaded, ServedResult
 
 _LOG = obs.get_logger("serve.app")
-
-#: run_gate_case parameters accepted over the wire, beyond gate/bits/tier.
-_CASE_PARAMS = ("calibrated", "frequency", "n_d1", "cells_per_wavelength",
-                "temperature", "seed", "phase_noise", "geometry_jitter")
-_TIERS = ("surrogate", "network", "fdtd", "llg")
-
-#: Characterization-axis parameters only the surrogate tier models;
-#: dropped when a domain miss rewrites the request for the network
-#: fallback (which answers the nominal case).
-_SURROGATE_ONLY_PARAMS = ("phase_noise", "geometry_jitter")
 
 MAX_REQUEST_LINE = 8192
 MAX_HEADERS = 64
@@ -489,42 +485,22 @@ class GateService:
     def _build_spec(self, payload: Dict[str, Any],
                     pattern: Optional[List[int]] = None
                     ) -> Tuple[JobSpec, str]:
-        """Validate a gate request and build its JobSpec; returns the
-        spec and its tier."""
-        from ..micromag.experiments import GATE_ARITY
-
-        unknown = set(payload) - {"gate", "bits", "tier"} - set(_CASE_PARAMS)
-        if unknown:
-            raise BadRequest(f"unknown parameter(s): {sorted(unknown)}")
-        gate = payload.get("gate")
-        if gate not in GATE_ARITY:
-            raise BadRequest(f"unknown gate {gate!r}; choose from "
-                             f"{sorted(GATE_ARITY)}")
-        tier = payload.get("tier", "network")
-        if tier not in _TIERS:
-            raise BadRequest(f"unknown tier {tier!r}; choose from "
-                             f"{list(_TIERS)}")
-        bits = pattern if pattern is not None else payload.get("bits")
-        if (not isinstance(bits, (list, tuple))
-                or len(bits) != GATE_ARITY[gate]
-                or any(b not in (0, 1) for b in bits)):
-            raise BadRequest(f"bits must be {GATE_ARITY[gate]} values "
-                             f"of 0/1 for {gate}, got {bits!r}")
-        if tier != "surrogate":
-            bad = [name for name in _SURROGATE_ONLY_PARAMS
-                   if payload.get(name)]
-            if bad:
-                raise BadRequest(f"{sorted(bad)} are characterization "
-                                 "axes of the surrogate tier; the "
-                                 "physical tiers do not model them")
-        params: Dict[str, Any] = {
-            "gate": gate, "bits": [int(b) for b in bits], "tier": tier,
-            "calibrated": bool(payload.get("calibrated",
-                                           tier == "network"))}
-        for name in _CASE_PARAMS[1:]:
-            if payload.get(name) is not None:
-                params[name] = payload[name]
-        label = f"{gate}:{''.join(map(str, params['bits']))}@{tier}"
+        """Check a gate request against the gate-case contract and build
+        its JobSpec; returns the spec and its tier.  A null case
+        parameter means its default and stays out of the key."""
+        case = dict(payload)
+        case["bits"] = pattern if pattern is not None else case.get("bits")
+        try:
+            check_gate_case(case)
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from None
+        tier = case.get("tier", "network")
+        params = {name: value for name, value in case.items()
+                  if value is not None}
+        params["bits"] = [int(b) for b in case["bits"]]
+        params["tier"] = tier
+        params.setdefault("calibrated", tier == "network")
+        label = f"{case['gate']}:{''.join(map(str, params['bits']))}@{tier}"
         return JobSpec(fn="repro.micromag.experiments:run_gate_case",
                        params=params, label=label), tier
 
@@ -562,9 +538,9 @@ class GateService:
         except (TypeError, ValueError) as exc:
             raise BadRequest(str(exc))
         tier = payload.get("tier", "network")
-        if tier not in _TIERS:
+        if tier not in TIERS:
             raise BadRequest(f"unknown tier {tier!r}; choose from "
-                             f"{list(_TIERS)}")
+                             f"{list(TIERS)}")
         characterize = bool(payload.get("characterize", False))
         params: Dict[str, Any] = {"spec": spec.to_dict(),
                                   "characterize": characterize,
@@ -650,7 +626,7 @@ class GateService:
     def _surrogate_fallback_spec(spec: JobSpec) -> Tuple[JobSpec, str]:
         """The network-tier rewrite of a surrogate request."""
         params = {name: value for name, value in spec.params.items()
-                  if name not in _SURROGATE_ONLY_PARAMS}
+                  if name not in SURROGATE_ONLY_KNOBS}
         params["tier"] = "network"
         label = (spec.label or "").replace("@surrogate", "@network") \
             or None
@@ -729,16 +705,14 @@ class GateService:
 
     async def _handle_sweep(self, request: _Request, request_id: str):
         from ..core.logic import input_patterns
-        from ..micromag.experiments import GATE_ARITY
 
         payload = request.json()
-        gate = payload.get("gate")
-        if gate not in GATE_ARITY:
-            raise BadRequest(f"unknown gate {gate!r}; choose from "
-                             f"{sorted(GATE_ARITY)}")
-        patterns = input_patterns(GATE_ARITY[gate])
-        specs = [self._build_spec(dict(payload), pattern=list(bits))
-                 for bits in patterns]
+        try:
+            arity = gate_arity(payload.get("gate"))
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from None
+        specs = [self._build_spec(payload, pattern=list(bits))
+                 for bits in input_patterns(arity)]
         deadline = self._deadline_for(request)
         t0 = time.perf_counter()
         results = await asyncio.gather(
@@ -752,7 +726,7 @@ class GateService:
         meta = {"sources": sources, "duration_ms": round(duration_ms, 3),
                 "request_id": request_id}
         return (HTTPStatus.OK,
-                {"gate": gate, "tier": specs[0][1],
+                {"gate": payload["gate"], "tier": specs[0][1],
                  "cases": cases,
                  "all_correct": all(case["correct"] for case in cases),
                  "served": meta},

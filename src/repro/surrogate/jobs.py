@@ -96,18 +96,15 @@ def characterize_point(gate: str, tier: str = "network",
 
     from ..core.detection import PhaseDetector, ThresholdDetector
     from ..core.logic import input_patterns, majority, xor as xor_fn
-    from ..micromag.experiments import GATE_ARITY
+    from ..micromag.experiments import gate_arity
     from ..micromag.fields.thermal import seed_from_key
     from ..physics import Wave
 
-    if gate not in GATE_ARITY:
-        raise ValueError(f"unknown gate {gate!r}; choose from "
-                         f"{sorted(GATE_ARITY)}")
+    arity = gate_arity(gate)
     if tier not in ("network", "fdtd"):
         raise ValueError(f"characterization tier must be 'network' or "
                          f"'fdtd', got {tier!r} (llg corners are minutes "
                          "each; characterize from a faster tier)")
-    arity = GATE_ARITY[gate]
     instance, frequency = build_gate(gate, frequency_detune,
                                      geometry_jitter)
     if seed is None:

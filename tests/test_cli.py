@@ -382,6 +382,53 @@ class TestSweepSurrogateTier:
         assert "all cases correct" in out or "correct" in out
 
 
+def _load_golden_script(name):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parent / "golden" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCliSurface:
+    def test_surface_matches_golden(self):
+        """Flags, choices, defaults and handlers of every subcommand are
+        those pinned in tests/golden/cli_surface.json."""
+        surface = _load_golden_script("make_cli_surface")
+        with open(surface.SURFACE, encoding="utf-8") as handle:
+            golden = json.load(handle)
+        current = json.loads(surface.canonical(surface.surface()))
+        assert current["options"] == golden["options"]
+        for got, want in zip(current["parses"], golden["parses"]):
+            assert surface.canonical(got) == surface.canonical(want)
+        assert len(current["parses"]) == len(golden["parses"])
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "prune", "--max-bytes", "inf"],
+        ["cache", "prune", "--max-bytes", "-5"],
+        ["cache", "prune", "--max-bytes", "nan"],
+        ["design", "--wavelength-nm", "0"],
+        ["design", "--wavelength-nm", "inf"],
+        ["adder", "0"],
+        ["adder", "-3"],
+        ["serve", "--rate", "-5"],
+        ["serve", "--rate", "nan"],
+    ])
+    def test_bad_numeric_argument_is_a_usage_error(self, argv, tmp_path,
+                                                   capsys):
+        if argv[0] == "cache":
+            argv = argv + ["--cache-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert sum(line.startswith("usage:")
+                   for line in err.splitlines()) == 1
+        assert "error: argument" in err
+
+
 class TestServeParserWiring:
     def test_defaults(self):
         from repro.cli import build_parser
@@ -410,3 +457,8 @@ class TestServeParserWiring:
         assert args.batch_window_ms == 5.0 and args.batch_max == 32
         assert args.access_log == "a.jsonl"
         assert args.drain_timeout == 5.0
+
+    def test_zero_rate_still_means_unlimited(self):
+        from repro.cli import build_parser
+
+        assert build_parser().parse_args(["serve", "--rate", "0"]).rate == 0.0

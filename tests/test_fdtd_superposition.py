@@ -273,9 +273,15 @@ class TestEngine:
         # A failed job is not cached: the next run solves again.
         assert not glob.glob(os.path.join(str(tmp_path), "*", "*", "*.json"))
 
-    def test_physical_tier_rejects_surrogate_knobs(self, solves):
+    @pytest.mark.parametrize("tier", ["network", "fdtd", "llg"])
+    def test_physical_tier_rejects_surrogate_knobs(self, tier, solves):
+        class NoJobs:
+            def run(self, specs):
+                raise AssertionError(f"{len(specs)} jobs submitted")
+
         with pytest.raises(ValueError, match="phase_noise"):
-            sweep_gate_truth_table("xor", "fdtd", phase_noise=0.1)
+            sweep_gate_truth_table("xor", tier, executor=NoJobs(),
+                                   phase_noise=0.1)
         assert solves.take() == 0
 
     def test_failed_basis_job_leaves_no_cases(self, tmp_path, solves):

@@ -308,12 +308,36 @@ class TestHttpService:
             with pytest.raises(ServeError) as err:
                 client.gate("maj3", [0, 1, 1], bogus_param=3)
             assert err.value.status == 400
+            # Malformed case values are refused before admission.
+            for bad in ({"frequency": "abc"}, {"frequency": -1},
+                        {"temperature": "hot"}, {"seed": "x"},
+                        {"calibrated": "false"}):
+                with pytest.raises(ServeError) as err:
+                    client.gate("xor", [0, 1], **bad)
+                assert err.value.status == 400, bad
+                with pytest.raises(ServeError) as err:
+                    client.sweep("xor", **bad)
+                assert err.value.status == 400, bad
             with pytest.raises(ServeError) as err:
                 client._request("POST", "/v1/nope", {})
             assert err.value.status == 404
             with pytest.raises(ServeError) as err:
                 client._request("GET", "/v1/gate")
             assert err.value.status == 405
+
+    def test_malformed_request_never_feeds_the_breaker(self, tmp_path):
+        with _server(tmp_path, breaker_threshold=1,
+                     breaker_reset_s=60.0) as server:
+            status, _headers, body = _post(
+                server.base_url, "/v1/gate",
+                {"gate": "xor", "bits": [0, 1], "frequency": "abc"})
+            assert status == 400
+            assert "frequency" in body["error"]
+            status, _headers, body = _post(
+                server.base_url, "/v1/gate", {"gate": "xor", "bits": [0, 1]})
+            assert status == 200
+            assert body["result"]["correct"] is True
+            assert ServeClient(server.base_url).health()["status"] == "ok"
 
     def test_http_herd_executes_once(self, tmp_path):
         """The acceptance scenario over real HTTP: 64 concurrent
