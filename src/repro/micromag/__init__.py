@@ -6,7 +6,7 @@ thin-film local), uniaxial anisotropy, Zeeman + local excitation fields
 and an optional stochastic thermal term.
 """
 
-from .mesh import Mesh, mesh_for_region, normalize_field
+from .mesh import CellLayout, Mesh, mesh_for_region, normalize_field
 from .geometry import (
     difference,
     disk,
@@ -30,7 +30,14 @@ from .fields import (
     rng_from_key,
     seed_from_key,
 )
-from .llg import HeunIntegrator, RK4Integrator, RK45Integrator, cross, llg_rhs
+from .llg import (
+    HeunIntegrator,
+    RK4Integrator,
+    RK45Integrator,
+    cross,
+    llg_coefficients,
+    llg_rhs,
+)
 from .excitation import Envelope, ExcitationSource
 from .probes import Probe, TimeTrace
 from .sim import RunResult, Simulation
@@ -53,6 +60,7 @@ from .experiments import (
 )
 
 __all__ = [
+    "CellLayout",
     "Mesh",
     "mesh_for_region",
     "normalize_field",
@@ -77,6 +85,7 @@ __all__ = [
     "RK4Integrator",
     "RK45Integrator",
     "cross",
+    "llg_coefficients",
     "llg_rhs",
     "Envelope",
     "ExcitationSource",

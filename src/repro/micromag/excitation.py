@@ -94,7 +94,7 @@ class ExcitationSource:
         self.phase = phase
         self.direction = d / norm
         self.envelope = envelope if envelope is not None else Envelope()
-        self._mask_cache: Optional[Tuple[int, np.ndarray]] = None
+        self._mask_cache: Optional[Tuple[Mesh, np.ndarray]] = None
 
     @classmethod
     def for_logic(cls, region: Shape, value: int, amplitude: float,
@@ -114,10 +114,11 @@ class ExcitationSource:
                    direction=direction)
 
     def _mask(self, mesh: Mesh) -> np.ndarray:
-        """Rasterised source region (cached per mesh identity)."""
-        key = id(mesh)
-        if self._mask_cache is None or self._mask_cache[0] != key:
-            self._mask_cache = (key, rasterize(mesh, self.region))
+        """Rasterised source region, cached for the last mesh (a frozen,
+        value-compared dataclass, so an equal mesh hits the cache and
+        no other mesh ever does)."""
+        if self._mask_cache is None or self._mask_cache[0] != mesh:
+            self._mask_cache = (mesh, rasterize(mesh, self.region))
         return self._mask_cache[1]
 
     def waveform(self, t: float) -> float:
@@ -125,13 +126,11 @@ class ExcitationSource:
         return (self.amplitude * self.envelope(t)
                 * math.cos(2.0 * math.pi * self.frequency * t + self.phase))
 
+    def profile(self, mesh: Mesh) -> np.ndarray:
+        """Unit-amplitude drive ``direction x region``, ``(3, nz, ny, nx)``:
+        the field at time ``t`` is ``waveform(t) * profile(mesh)``."""
+        return np.multiply.outer(self.direction, self._mask(mesh))
+
     def field(self, mesh: Mesh, t: float) -> np.ndarray:
         """Field contribution ``(3, nz, ny, nx)`` [A/m] at time ``t``."""
-        mask = self._mask(mesh)
-        value = self.waveform(t)
-        out = np.zeros(mesh.field_shape)
-        if value != 0.0:
-            for c in range(3):
-                if self.direction[c] != 0.0:
-                    out[c] = value * self.direction[c] * mask
-        return out
+        return self.waveform(t) * self.profile(mesh)

@@ -82,6 +82,10 @@ class DispersionExperiment:
         return float(np.mean(np.abs(self.relative_error)))
 
 
+#: Samples per :meth:`Simulation.run` call in :func:`extract_dispersion`.
+_SNAPSHOTS_PER_RUN = 256
+
+
 def extract_dispersion(material: Material,
                        thickness: float = 1e-9,
                        length: float = 2e-6,
@@ -118,21 +122,21 @@ def extract_dispersion(material: Material,
         region=rectangle(centre - cell, 0.0, centre + cell, 4 * cell),
         amplitude=amplitude, f_max=f_max))
 
-    n_steps = int(round(duration / dt))
-    n_samples = n_steps // sample_every
+    # m_x along the centre row every ``sample_every`` steps, from
+    # snapshots of runs of at most _SNAPSHOTS_PER_RUN samples each, so
+    # only that many canvases are alive at once.
+    n_samples = int(round(duration / dt)) // sample_every
     signal = np.empty((n_samples, nx))
-    from .llg import RK4Integrator
+    interval = sample_every * dt
+    for first in range(0, n_samples, _SNAPSHOTS_PER_RUN):
+        count = min(_SNAPSHOTS_PER_RUN, n_samples - first)
+        times = [sim.t + (j + 1) * interval for j in range(count)]
+        snapshots = sim.run(duration=count * interval, dt=dt,
+                            snapshot_times=times)["snapshots"]
+        for j, when in enumerate(times):
+            signal[first + j] = snapshots[when][0, 0, 2, :]
 
-    integrator = RK4Integrator(sim._rhs, mask=sim.mask)
-    sample = 0
-    for step in range(n_steps):
-        sim.m = integrator.step(sim.t, sim.m, dt)
-        sim.t += dt
-        if (step + 1) % sample_every == 0 and sample < n_samples:
-            signal[sample] = sim.m[0, 0, 2, :]  # centre row, m_x
-            sample += 1
-
-    dmap = space_time_fft(signal[:sample], dx=cell, dt=dt * sample_every)
+    dmap = space_time_fft(signal, dx=cell, dt=interval)
     ks, fs = dmap.ridge(k_min=k_band[0])
     keep = (ks >= k_band[0]) & (ks <= k_band[1])
     ks, fs = ks[keep], fs[keep]

@@ -12,7 +12,7 @@ from typing import Tuple
 import numpy as np
 
 from ...constants import MU0
-from ..mesh import Mesh
+from ..mesh import CellLayout, Mesh
 
 
 class UniaxialAnisotropyField:
@@ -45,21 +45,19 @@ class UniaxialAnisotropyField:
         self.ku = ku
         self.ms = ms
         self.axis = u / norm
-        if mask is None:
-            mask = np.ones(mesh.scalar_shape, dtype=bool)
-        self.mask = mask.astype(bool)
+        self.layout = CellLayout(mesh, mask)
+        self.mask = self.layout.mask
         self._prefactor = 2.0 * ku / (MU0 * ms)
 
     def field(self, m: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Anisotropy field [A/m]: ``(2Ku/mu0 Ms) (m.u) u`` inside the mask."""
-        u = self.axis
-        projection = (m[0] * u[0] + m[1] * u[1] + m[2] * u[2])
-        projection = projection * self.mask
-        if out is None:
-            out = np.empty_like(m)
-        for c in range(3):
-            out[c] = self._prefactor * projection * u[c]
-        return out
+        """Anisotropy field [A/m]: ``(2Ku/mu0 Ms) (m.u) u`` inside the mask.
+
+        Packed ``m`` ``(3, N)`` gives a packed field, a canvas a canvas.
+        """
+        if self.layout.is_canvas(m):
+            return self.layout.unpack(self.field(self.layout.pack(m)))
+        return np.multiply.outer(self._prefactor * self.axis,
+                                 self.axis @ m, out=out)
 
     def energy_density(self, m: np.ndarray) -> np.ndarray:
         """``Ku (1 - (m.u)^2)`` [J/m^3] (zero when aligned with easy axis)."""

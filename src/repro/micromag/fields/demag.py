@@ -12,7 +12,8 @@ Two implementations are provided:
   approximation for the 1 nm films of the paper when speed matters.
 
 Both expose ``field(m)`` returning H in A/m for a unit-vector
-magnetisation field scaled by ``ms``.
+magnetisation field scaled by ``ms``, packed ``(3, N)`` over the
+magnetic cells (the solver's layout) or on the canvas, like ``m``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...constants import MU0
-from ..mesh import Mesh
+from ..mesh import CellLayout, Mesh
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +178,8 @@ class DemagField:
             raise ValueError("saturation magnetisation must be positive")
         self.mesh = mesh
         self.ms = ms
-        if mask is None:
-            mask = np.ones(mesh.scalar_shape, dtype=bool)
-        self.mask = mask.astype(bool)
+        self.layout = CellLayout(mesh, mask)
+        self.mask = self.layout.mask
         tensor = demag_tensor(mesh)
         self._padded_shape = tensor["padded_shape"]
         # Real-input FFTs of the 6 independent tensor components.
@@ -197,7 +197,15 @@ class DemagField:
                          tensor["nzz"][0, 0, 0]])
 
     def field(self, m: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Demag field [A/m]: ``H_i = -sum_j N_ij * (Ms m_j)`` (convolution)."""
+        """Demag field [A/m]: ``H_i = -sum_j N_ij * (Ms m_j)`` (convolution).
+
+        The convolution runs on the canvas: a packed ``m`` is scattered
+        onto it and the field gathered back at the magnetic cells.  A
+        canvas ``m`` gets the whole canvas, stray field in vacuum
+        included.
+        """
+        if not self.layout.is_canvas(m):
+            return self.layout.pack(self.field(self.layout.unpack(m)))
         pz, py, px = self._padded_shape
         nz, ny, nx = self.mesh.nz, self.mesh.ny, self.mesh.nx
         if out is None:
@@ -248,17 +256,18 @@ class ThinFilmDemagField:
             raise ValueError("saturation magnetisation must be positive")
         self.mesh = mesh
         self.ms = ms
-        if mask is None:
-            mask = np.ones(mesh.scalar_shape, dtype=bool)
-        self.mask = mask.astype(bool)
+        self.layout = CellLayout(mesh, mask)
+        self.mask = self.layout.mask
 
     def field(self, m: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Local demag field [A/m]."""
+        """Local demag field [A/m], packed or canvas like ``m``."""
+        if self.layout.is_canvas(m):
+            return self.layout.unpack(self.field(self.layout.pack(m)))
         if out is None:
             out = np.zeros_like(m)
         else:
-            out[...] = 0.0
-        out[2] = -self.ms * m[2] * self.mask
+            out[:2] = 0.0
+        np.multiply(m[2], -self.ms, out=out[2])
         return out
 
     def energy_density(self, m: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...constants import MU0
-from ..mesh import Mesh
+from ..mesh import CellLayout, Mesh
 
 
 class ExchangeField:
@@ -39,51 +39,36 @@ class ExchangeField:
         self.mesh = mesh
         self.aex = aex
         self.ms = ms
-        if mask is None:
-            mask = np.ones(mesh.scalar_shape, dtype=bool)
-        if mask.shape != mesh.scalar_shape:
-            raise ValueError(f"mask shape {mask.shape} != {mesh.scalar_shape}")
-        self.mask = mask.astype(bool)
+        self.layout = CellLayout(mesh, mask)
+        self.mask = self.layout.mask
         self._prefactor = 2.0 * aex / (MU0 * ms)
-        # Pre-compute neighbour validity masks so the hot loop is pure
-        # arithmetic.  Axis order in fields is (component, z, y, x).
-        self._neighbour_masks = {}
-        for axis, label in ((1, "z"), (2, "y"), (3, "x")):
-            for direction in (+1, -1):
-                shifted = np.roll(self.mask, -direction, axis=axis - 1)
-                valid = self.mask & shifted
-                # roll wraps around; forbid wrap-around neighbours.
-                index = [slice(None)] * 3
-                edge = -1 if direction == +1 else 0
-                index[axis - 1] = edge
-                valid[tuple(index)] = False
-                self._neighbour_masks[(axis, direction)] = valid
+        # One row of packed neighbour indices per direction, weighted
+        # by prefactor / d^2 of its axis (canvas axis a spans cell_size
+        # entry 2 - a).
+        neighbours = self.layout.neighbours()
+        self._table = np.array(list(neighbours.values()),
+                               dtype=np.intp).reshape(
+                                   len(neighbours), self.layout.n_cells)
+        self._weights = np.array(
+            [self._prefactor / mesh.cell_size[2 - axis] ** 2
+             for axis, _ in neighbours])
 
     def field(self, m: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Exchange field [A/m] for magnetisation ``m`` (unit vectors).
 
-        The Neumann Laplacian is written as a sum over valid neighbours
-        of ``(m_neighbour - m_cell) / d^2`` so masked/absent neighbours
-        contribute zero, which is exactly the mirror boundary condition.
+        ``m`` is packed ``(3, N)`` (the solver's layout) or a canvas,
+        and the field comes back in the same form.  The Neumann
+        Laplacian is a sum over the neighbour table of
+        ``(m_neighbour - m_cell) / d^2``; a missing neighbour is the
+        cell itself and adds exactly zero, the mirror boundary.
         """
-        if out is None:
-            out = np.zeros_like(m)
-        else:
-            out[...] = 0.0
-        inv_d2 = (1.0 / self.mesh.dz ** 2,
-                  1.0 / self.mesh.dy ** 2,
-                  1.0 / self.mesh.dx ** 2)
-        for axis in (1, 2, 3):
-            if m.shape[axis] == 1:
-                continue  # single-cell axis: no exchange variation
-            for direction in (+1, -1):
-                valid = self._neighbour_masks[(axis, direction)]
-                neighbour = np.roll(m, -direction, axis=axis)
-                diff = neighbour - m
-                diff *= valid[None, ...]
-                out += diff * inv_d2[axis - 1]
-        out *= self._prefactor
-        return out
+        if self.layout.is_canvas(m):
+            return self.layout.unpack(self.field(self.layout.pack(m)))
+        # (3, directions, N); every index is in range, and "clip" mode
+        # spares the bounds check.
+        diff = m.take(self._table, axis=1, mode="clip")
+        diff -= m[:, None, :]
+        return np.matmul(self._weights, diff, out=out)
 
     def energy_density(self, m: np.ndarray) -> np.ndarray:
         """Exchange energy density ``-mu0 Ms / 2 * m . H_ex`` [J/m^3]."""

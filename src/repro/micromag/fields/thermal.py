@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ...constants import KB, MU0
-from ..mesh import Mesh
+from ..mesh import CellLayout, Mesh
 
 
 def seed_from_key(key: Union[str, bytes], stream: int = 0) -> int:
@@ -92,9 +92,8 @@ class ThermalField:
         self.gamma = gamma
         self.temperature = temperature
         self.rng = rng if rng is not None else np.random.default_rng()
-        if mask is None:
-            mask = np.ones(mesh.scalar_shape, dtype=bool)
-        self.mask = mask.astype(bool)
+        self.layout = CellLayout(mesh, mask)
+        self.mask = self.layout.mask
         self._current: Optional[np.ndarray] = None
         self._current_step = -1
 
@@ -115,23 +114,28 @@ class ThermalField:
         The same realisation must be used for every RHS evaluation within
         one step (Heun / RK schemes evaluate the RHS several times), so
         the driver calls ``refresh`` once per step and ``field`` is then
-        deterministic until the next refresh.
+        deterministic until the next refresh.  The draw covers the whole
+        canvas, vacuum included, so a seeded generator yields the same
+        noise whatever the mask.
         """
         sigma = self.standard_deviation(dt)
         if sigma == 0.0:
             self._current = None
         else:
-            noise = self.rng.standard_normal(self.mesh.field_shape) * sigma
-            noise *= self.mask[None, ...]
-            self._current = noise
+            noise = self.rng.standard_normal(self.mesh.field_shape)
+            self._current = self.layout.pack(noise) * sigma
         self._current_step = step
 
-    def field(self, m: np.ndarray = None, out: np.ndarray = None) -> np.ndarray:
-        """Current thermal field [A/m]; zero when T = 0 or before refresh."""
-        if out is None:
-            out = np.zeros(self.mesh.field_shape)
+    def field(self, m: np.ndarray = None) -> np.ndarray:
+        """Current thermal field [A/m]; zero when T = 0 or before refresh.
+
+        Packed ``(3, N)`` for a packed ``m``, the canvas (zero in
+        vacuum) when ``m`` is a canvas or ``None``.
+        """
+        if self._current is None:
+            h = np.zeros((3, self.layout.n_cells))
         else:
-            out[...] = 0.0
-        if self._current is not None:
-            out += self._current
-        return out
+            h = self._current.copy()
+        if m is None or self.layout.is_canvas(m):
+            return self.layout.unpack(h)
+        return h

@@ -8,12 +8,12 @@ field ``H_ext(r, t)`` as a static part plus any number of registered
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ...constants import MU0
-from ..mesh import Mesh
+from ..mesh import CellLayout, Mesh
 
 
 class ZeemanField:
@@ -26,8 +26,8 @@ class ZeemanField:
     static_field:
         Uniform bias field ``(Hx, Hy, Hz)`` [A/m].
     mask:
-        Geometry mask (energy bookkeeping only; the field itself is
-        applied everywhere, matching how MuMax3 treats ``B_ext``).
+        Geometry mask: the field is evaluated on its magnetic cells and
+        is zero in vacuum, where it would act on no moment.
     """
 
     def __init__(self, mesh: Mesh,
@@ -35,27 +35,38 @@ class ZeemanField:
                  mask: np.ndarray = None):
         self.mesh = mesh
         self.static_field = np.asarray(static_field, dtype=float)
-        if mask is None:
-            mask = np.ones(mesh.scalar_shape, dtype=bool)
-        self.mask = mask.astype(bool)
+        self.layout = CellLayout(mesh, mask)
+        self.mask = self.layout.mask
         self.sources: List = []
+        # The unit-amplitude drive of each source on the packed cells,
+        # one (3 N) row per source, and the sources it was built for.
+        self._profiles = np.zeros((0, 3 * self.layout.n_cells))
+        self._profiled: List = []
 
     def add_source(self, source) -> None:
-        """Register an excitation source (duck-typed: ``.field(mesh, t)``)."""
+        """Register an excitation source (duck-typed: ``.waveform(t)``
+        and ``.profile(mesh)``, see
+        :class:`~repro.micromag.excitation.ExcitationSource`)."""
         self.sources.append(source)
 
-    def field(self, m: np.ndarray = None, t: float = 0.0,
-              out: np.ndarray = None) -> np.ndarray:
-        """Total applied field [A/m] at time ``t`` (magnetisation unused)."""
-        if out is None:
-            out = np.zeros(self.mesh.field_shape)
-        else:
-            out[...] = 0.0
-        for c in range(3):
-            out[c] += self.static_field[c]
-        for source in self.sources:
-            out += source.field(self.mesh, t)
-        return out
+    def field(self, m: np.ndarray = None, t: float = 0.0) -> np.ndarray:
+        """Total applied field [A/m] at time ``t``.
+
+        The magnetisation only selects the form: packed ``(3, N)`` for a
+        packed ``m``, the canvas when ``m`` is a canvas or ``None``.
+        """
+        if self._profiled != self.sources:  # sources compare by identity
+            self._profiled = list(self.sources)
+            self._profiles = np.array(
+                [self.layout.pack(source.profile(self.mesh)).ravel()
+                 for source in self.sources]).reshape(
+                     len(self.sources), 3 * self.layout.n_cells)
+        drive = np.array([source.waveform(t) for source in self.sources])
+        h = np.dot(drive, self._profiles).reshape(3, self.layout.n_cells)
+        h += self.static_field[:, None]
+        if m is None or self.layout.is_canvas(m):
+            return self.layout.unpack(h)
+        return h
 
     def energy_density(self, m: np.ndarray, t: float = 0.0,
                        ms: float = 1.0) -> np.ndarray:

@@ -153,8 +153,10 @@ def scaled_xor_experiment(material: Material = FECOB,
     """Triangle XOR scaled to ``n_d1`` wavelength arms at ``frequency``.
 
     28 GHz on the paper's film gives lambda ~ 40 nm; with 2-wavelength
-    arms the canvas is ~70 x 70 cells and one input pattern integrates
-    in about a minute on a laptop.
+    arms the canvas is 67 x 72 cells, 879 of them magnetic (the only
+    ones the solver steps).  One input pattern -- about 42,000 RK4
+    steps of settling and six measured periods -- integrates in about
+    23 s on one core of a 2-CPU x86-64 host.
     """
     lam = _scaled_wavelength(material, frequency)
     dims = GateDimensions(

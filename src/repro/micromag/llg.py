@@ -6,7 +6,10 @@ The explicit (Landau-Lifshitz) form of eq. (1) of the paper is
 
 with ``m = M / Ms`` the unit magnetisation and ``H`` the effective field
 in A/m.  Spatially varying damping is supported (needed for absorbing
-boundary ramps).  Integrators:
+boundary ramps); its two prefactors come from :func:`llg_coefficients`
+once per run, not per evaluation.  Every function here works on any
+``(3, ...)`` array: the simulation passes packed ``(3, N)`` states of
+the magnetic cells.  Integrators:
 
 * :class:`RK4Integrator` -- fixed-step classical Runge-Kutta, the
   default for wave propagation runs where the step is set by the
@@ -37,14 +40,15 @@ RHSFunction = Callable[[float, np.ndarray], np.ndarray]
 ProgressCallback = Callable[[float, float], None]
 
 
-def _record_step(t0: Optional[float], rejected: int = 0,
-                 cells: Optional[int] = None) -> None:
+def _record_step(t0: Optional[float], m: np.ndarray,
+                 mask: Optional[np.ndarray], rejected: int = 0) -> None:
     """Update the ``llg.*`` metrics for one accepted integrator step.
 
     ``t0`` is the perf-counter stamp taken at step entry *only when the
     observer was attached* (None otherwise, making the disabled path a
-    single check at the call sites).  ``cells`` feeds the
-    ``llg.cell_updates_per_s`` throughput gauge.
+    single check at the call sites).  The ``llg.cell_updates_per_s``
+    throughput gauge counts magnetic cells: those of ``mask``, or every
+    cell of ``m`` when it is unmasked (a packed state is all magnetic).
     """
     if t0 is None:
         return
@@ -53,9 +57,9 @@ def _record_step(t0: Optional[float], rejected: int = 0,
     if rejected:
         obs.counter("llg.rk45.rejected").inc(rejected)
     if elapsed > 0:
+        cells = m[0].size if mask is None else np.count_nonzero(mask)
         obs.gauge("llg.steps_per_s").set(1.0 / elapsed)
-        if cells:
-            obs.gauge("llg.cell_updates_per_s").set(cells / elapsed)
+        obs.gauge("llg.cell_updates_per_s").set(cells / elapsed)
 
 
 def _guard_step(watchdog: Optional[Watchdog], t: float, m: np.ndarray,
@@ -79,32 +83,50 @@ def _guard_step(watchdog: Optional[Watchdog], t: float, m: np.ndarray,
 
 
 def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """Component-first cross product ``a x b`` for ``(3, ...)`` fields."""
+    """Component-first cross product ``a x b`` for ``(3, ...)`` fields.
+
+    ``out`` must not share memory with ``a`` or ``b``.
+    """
     if out is None:
         out = np.empty_like(a)
-    # Temporaries are needed if out aliases a or b.
-    c0 = a[1] * b[2] - a[2] * b[1]
-    c1 = a[2] * b[0] - a[0] * b[2]
-    c2 = a[0] * b[1] - a[1] * b[0]
-    out[0], out[1], out[2] = c0, c1, c2
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    np.multiply(a1, b2, out=out[0])
+    out[0] -= a2 * b1
+    np.multiply(a2, b0, out=out[1])
+    out[1] -= a0 * b2
+    np.multiply(a0, b1, out=out[2])
+    out[2] -= a1 * b0
     return out
 
 
-def llg_rhs(m: np.ndarray, h_eff: np.ndarray, gamma: float,
-            alpha: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+def llg_coefficients(gamma: float, alpha) -> Tuple[np.ndarray, np.ndarray]:
+    """The two prefactors of the explicit LLG form, for :func:`llg_rhs`.
+
+    Returns ``(precession, damping)``: ``-gamma mu0 / (1 + alpha^2)``
+    and that times ``alpha``, shaped like ``alpha`` (a scalar damping
+    field, packed ``(N,)`` or canvas ``(nz, ny, nx)``, or a float).
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    precession = -gamma * MU0 / (1.0 + alpha * alpha)
+    return precession, precession * alpha
+
+
+def llg_rhs(m: np.ndarray, h_eff: np.ndarray, precession: np.ndarray,
+            damping: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Evaluate the LLG time derivative.
+
+    ``dm/dt = precession (m x H) + damping m x (m x H)``
 
     Parameters
     ----------
     m:
-        Unit magnetisation ``(3, nz, ny, nx)``.
+        Unit magnetisation ``(3, ...)``: packed ``(3, N)`` or canvas.
     h_eff:
         Effective field [A/m], same shape.
-    gamma:
-        Gyromagnetic ratio [rad/(T s)].
-    alpha:
-        Scalar damping field ``(nz, ny, nx)`` (may be a 0-d array /
-        float for uniform damping).
+    precession, damping:
+        The prefactors of :func:`llg_coefficients`, broadcastable
+        against one component of ``m``.
     out:
         Optional output buffer.
 
@@ -113,13 +135,11 @@ def llg_rhs(m: np.ndarray, h_eff: np.ndarray, gamma: float,
     numpy.ndarray
         ``dm/dt`` [1/s].
     """
-    alpha = np.asarray(alpha, dtype=float)
-    precession = cross(m, h_eff)
-    damping = cross(m, precession)
-    prefactor = -gamma * MU0 / (1.0 + alpha ** 2)
-    if out is None:
-        out = np.empty_like(m)
-    out[...] = prefactor * (precession + alpha * damping)
+    torque = cross(m, h_eff)
+    relaxation = cross(m, torque)
+    out = np.multiply(torque, precession, out=out)
+    relaxation *= damping
+    out += relaxation
     return out
 
 
@@ -150,26 +170,41 @@ class RK4Integrator:
         # the observer is on; the disabled path stays stamp-free.
         timer = obs.PhaseTimer("llg.rk4") if t0 is not None else None
         s = timer.stamp() if timer is not None else 0
-        k1 = self.rhs(t, m)
+        half = dt / 2.0
+        # Each slope is folded into ``new`` (k1 + 2 k2 + 2 k3 + k4) and
+        # the next stage state before the next evaluation, so one stage
+        # buffer serves all three intermediate states.
+        k = self.rhs(t, m)
         if timer is not None:
             s = timer.lap("k1", s)
-        k2 = self.rhs(t + dt / 2.0, m + (dt / 2.0) * k1)
+        new = k.copy()
+        stage = np.multiply(k, half)
+        stage += m
+        k = self.rhs(t + half, stage)
         if timer is not None:
             s = timer.lap("k2", s)
-        k3 = self.rhs(t + dt / 2.0, m + (dt / 2.0) * k2)
+        new += 2.0 * k
+        np.multiply(k, half, out=stage)
+        stage += m
+        k = self.rhs(t + half, stage)
         if timer is not None:
             s = timer.lap("k3", s)
-        k4 = self.rhs(t + dt, m + dt * k3)
+        new += 2.0 * k
+        np.multiply(k, dt, out=stage)
+        stage += m
+        k = self.rhs(t + dt, stage)
         if timer is not None:
             s = timer.lap("k4", s)
-        new = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        new += k
+        new *= dt / 6.0
+        new += m
         _guard_step(self.watchdog, t + dt, new, self.mask)
         if self.renormalize:
             normalize_field(new, self.mask)
         if timer is not None:
             timer.lap("combine", s)
             timer.flush()
-        _record_step(t0, cells=new[0].size)
+        _record_step(t0, new, self.mask)
         if self.progress is not None:
             self.progress(t + dt, dt)
         return new
@@ -215,7 +250,7 @@ class HeunIntegrator:
         if timer is not None:
             timer.lap("corrector", s)
             timer.flush()
-        _record_step(t0, cells=new[0].size)
+        _record_step(t0, new, self.mask)
         if self.progress is not None:
             self.progress(t + dt, dt)
         return new
@@ -318,8 +353,8 @@ class RK45Integrator:
                 self.last_dt = dt
                 if timer is not None:
                     timer.flush()
-                _record_step(t0, self.rejected_steps - rejected_before,
-                             cells=m5[0].size)
+                _record_step(t0, m5, self.mask,
+                             self.rejected_steps - rejected_before)
                 if self.progress is not None:
                     self.progress(t + dt, dt)
                 return m5, dt, dt_next

@@ -5,12 +5,16 @@ grid of cuboid cells, magnetisation stored as a unit-vector field of
 shape ``(3, nz, ny, nx)`` (component-first keeps the LLG kernels simple
 vectorised NumPy).  The paper's films are 1 nm thick, so ``nz = 1`` in
 every real workload, but the field terms are written for general ``nz``.
+
+The solver itself steps only the magnetic cells: :class:`CellLayout`
+packs a masked canvas into ``(3, N)`` arrays over the N cells of the
+geometry mask and back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -185,10 +189,88 @@ def mesh_for_region(width: float, height: float, thickness: float,
     return Mesh(cell_size=(cell, cell, dz), shape=(nx, ny, nz), origin=origin)
 
 
+class CellLayout:
+    """The magnetic cells of a masked mesh, packed along one axis.
+
+    The LLG kernels work on *packed* arrays: a vector field is
+    ``(3, N)`` and a scalar field ``(N,)`` over the N cells of the
+    geometry mask, in the C order of the canvas (``np.flatnonzero``).
+    The order depends on the mask alone, so every layout of one mask
+    packs alike.  :meth:`pack` and :meth:`unpack` convert at the edges;
+    an unpacked field is zero in vacuum.
+
+    Parameters
+    ----------
+    mesh:
+        The finite-difference mesh.
+    mask:
+        Boolean ``(nz, ny, nx)`` geometry mask; ``None`` makes every
+        cell magnetic.
+    """
+
+    def __init__(self, mesh: Mesh, mask: Optional[np.ndarray] = None):
+        if mask is None:
+            mask = np.ones(mesh.scalar_shape, dtype=bool)
+        mask = np.asarray(mask).astype(bool)
+        if mask.shape != mesh.scalar_shape:
+            raise ValueError(f"mask shape {mask.shape} != {mesh.scalar_shape}")
+        self.mask = mask
+        self.cells = np.flatnonzero(mask)
+
+    @property
+    def n_cells(self) -> int:
+        """Number of magnetic cells N."""
+        return len(self.cells)
+
+    @staticmethod
+    def is_canvas(field: np.ndarray) -> bool:
+        """True for a canvas vector field ``(3, nz, ny, nx)``, False for
+        a packed one ``(3, N)``."""
+        return field.ndim == 4
+
+    def pack(self, field: np.ndarray) -> np.ndarray:
+        """Canvas ``(..., nz, ny, nx)`` -> packed ``(..., N)`` copy."""
+        return field[..., self.mask]
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Packed ``(..., N)`` -> fresh canvas ``(..., nz, ny, nx)``,
+        zero in vacuum."""
+        out = np.zeros(packed.shape[:-1] + self.mask.shape)
+        out[..., self.mask] = packed
+        return out
+
+    def neighbours(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """Packed index of each cell's neighbour, per direction.
+
+        Keys are ``(axis, step)`` with canvas axes 0 = z, 1 = y, 2 = x
+        and step +-1; axes one cell thick are left out.  Where the
+        neighbour is vacuum or off the mesh the entry is the cell
+        itself, so ``m[:, nb] - m`` vanishes there: the free (Neumann)
+        boundary of the exchange term.
+        """
+        shape = self.mask.shape
+        packed = np.full(self.mask.size, -1, dtype=np.intp)
+        packed[self.cells] = np.arange(self.n_cells)
+        coords = np.unravel_index(self.cells, shape)
+        table = {}
+        for axis, n in enumerate(shape):
+            if n == 1:
+                continue
+            for step in (+1, -1):
+                shifted = list(coords)
+                shifted[axis] = np.clip(coords[axis] + step, 0, n - 1)
+                nb = packed[np.ravel_multi_index(shifted, shape)]
+                # clip maps an off-mesh neighbour onto the cell itself.
+                table[(axis, step)] = np.where(nb >= 0, nb,
+                                               np.arange(self.n_cells))
+        return table
+
+
 def normalize_field(m: np.ndarray, mask: np.ndarray = None,
                     epsilon: float = 1e-30) -> np.ndarray:
     """Renormalise a vector field to unit length in place and return it.
 
+    ``m`` is a canvas ``(3, nz, ny, nx)`` or a packed ``(3, N)`` field.
     Cells where the norm is ~0 (or outside ``mask``) are left at zero so
     vacuum regions stay empty.
     """
@@ -196,7 +278,5 @@ def normalize_field(m: np.ndarray, mask: np.ndarray = None,
     inside = norm > epsilon
     if mask is not None:
         inside &= mask.astype(bool)
-    scale = np.zeros_like(norm)
-    scale[inside] = 1.0 / norm[inside]
-    m *= scale[None, :, :, :]
+    m *= np.divide(1.0, norm, out=np.zeros_like(norm), where=inside)
     return m

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .geometry import Shape, rasterize
-from .mesh import Mesh
+from .mesh import CellLayout, Mesh
 
 
 @dataclass
@@ -115,24 +115,30 @@ class Probe:
         self.component = component
         self._times: List[float] = []
         self._values: List[float] = []
-        self._mask: Optional[np.ndarray] = None
-        self._n_cells = 0
+        self._layout: Optional[CellLayout] = None
+        self._weights: Optional[np.ndarray] = None
 
     def bind(self, mesh: Mesh, geometry_mask: np.ndarray = None) -> None:
-        """Rasterise the probe region onto ``mesh`` (must precede record)."""
-        mask = rasterize(mesh, self.region)
-        if geometry_mask is not None:
-            mask &= geometry_mask.astype(bool)
-        if not mask.any():
+        """Rasterise the probe region onto ``mesh`` (must precede record).
+
+        The region is read on the magnetic cells of ``geometry_mask``
+        (every cell when ``None``): ``record`` then takes the solver's
+        packed ``(3, N)`` state of that mask, or a canvas.
+        """
+        layout = CellLayout(mesh, geometry_mask)
+        inside = layout.pack(rasterize(mesh, self.region))
+        if not inside.any():
             raise ValueError(f"probe {self.name!r} covers no cells")
-        self._mask = mask
-        self._n_cells = int(mask.sum())
+        self._layout = layout
+        self._weights = inside / np.count_nonzero(inside)
 
     def record(self, t: float, m: np.ndarray) -> None:
         """Sample the region-averaged component of ``m`` at time ``t``."""
-        if self._mask is None:
+        if self._layout is None:
             raise RuntimeError(f"probe {self.name!r} not bound to a mesh")
-        value = float(np.sum(m[self.component] * self._mask) / self._n_cells)
+        if self._layout.is_canvas(m):
+            m = self._layout.pack(m)
+        value = float(m[self.component] @ self._weights)
         self._times.append(t)
         self._values.append(value)
 

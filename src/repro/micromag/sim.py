@@ -12,6 +12,12 @@ Typical use (see examples/micromagnetic_interference.py)::
     sim.add_source(ExcitationSource.for_logic(region, 1, 5e3, 10e9))
     sim.add_probe(Probe("O1", output_region))
     sim.run(duration=2e-9, dt=2e-13)
+
+The time loops step a *packed* state, ``(3, N)`` over the N magnetic
+cells of the mask (:class:`~repro.micromag.mesh.CellLayout`); the
+canvas ``(3, nz, ny, nx)`` magnetisation :attr:`Simulation.m` is
+unpacked from it only at the edges -- after a run, for snapshots and
+for checkpoints -- and is zero in vacuum.
 """
 
 from __future__ import annotations
@@ -32,8 +38,15 @@ from .fields.exchange import ExchangeField
 from .fields.thermal import ThermalField
 from .fields.zeeman import ZeemanField
 from .geometry import edge_damping_profile
-from .llg import HeunIntegrator, RK4Integrator, RK45Integrator, llg_rhs
-from .mesh import Mesh, normalize_field
+from .llg import (
+    HeunIntegrator,
+    RK4Integrator,
+    RK45Integrator,
+    RHSFunction,
+    llg_coefficients,
+    llg_rhs,
+)
+from .mesh import CellLayout, Mesh, normalize_field
 from .probes import Probe
 
 
@@ -82,13 +95,10 @@ class Simulation:
                  rng: Optional[np.random.Generator] = None):
         self.mesh = mesh
         self.material = material
-        if mask is None:
-            mask = np.ones(mesh.scalar_shape, dtype=bool)
-        if mask.shape != mesh.scalar_shape:
-            raise ValueError(f"mask shape {mask.shape} != {mesh.scalar_shape}")
-        if not mask.any():
+        self.layout = CellLayout(mesh, mask)
+        if not self.layout.n_cells:
             raise ValueError("geometry mask is empty")
-        self.mask = mask.astype(bool)
+        self.mask = self.layout.mask
 
         cell_max = max(mesh.dx, mesh.dy)
         if cell_max > 2.0 * material.exchange_length:
@@ -165,9 +175,17 @@ class Simulation:
 
     # -- physics ------------------------------------------------------------------
 
-    def effective_field(self, m: np.ndarray, t: float) -> np.ndarray:
-        """Total effective field H_eff(m, t) [A/m]."""
-        h = self.exchange.field(m)
+    def effective_field(self, m: np.ndarray, t: float,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Total effective field H_eff(m, t) [A/m].
+
+        Packed ``m`` ``(3, N)`` gives the packed field (into ``out`` when
+        given); a canvas ``m`` gives a canvas field, zero in vacuum.
+        """
+        if self.layout.is_canvas(m):
+            return self.layout.unpack(
+                self.effective_field(self.layout.pack(m), t))
+        h = self.exchange.field(m, out=out)
         if self.anisotropy is not None:
             h += self.anisotropy.field(m)
         if self.demag is not None:
@@ -178,9 +196,23 @@ class Simulation:
         self._rhs_evaluations += 1
         return h
 
-    def _rhs(self, t: float, m: np.ndarray) -> np.ndarray:
-        h = self.effective_field(m, t)
-        return llg_rhs(m, h, self.material.gamma, self.alpha)
+    def derivative(self, alpha: Optional[np.ndarray] = None) -> RHSFunction:
+        """The LLG right-hand side ``f(t, m) = dm/dt`` of packed states.
+
+        ``alpha`` is a canvas damping profile (default :attr:`alpha`);
+        its LLG prefactors are fixed here, once.  The effective field
+        fills one reused buffer; each call returns a fresh array, since
+        an integrator keeps several slopes alive.
+        """
+        precession, damping = llg_coefficients(
+            self.material.gamma,
+            self.layout.pack(self.alpha if alpha is None else alpha))
+        h = np.empty((3, self.layout.n_cells))
+
+        def rhs(t: float, m: np.ndarray) -> np.ndarray:
+            return llg_rhs(m, self.effective_field(m, t, out=h),
+                           precession, damping)
+        return rhs
 
     def total_energy(self) -> float:
         """Sum of all energy terms at the current state [J]."""
@@ -235,29 +267,34 @@ class Simulation:
         if dt <= 0:
             raise ValueError("dt must be positive")
         n_steps = int(round(duration / dt))
-        if self.thermal is not None:
-            integrator = HeunIntegrator(self._rhs, mask=self.mask,
-                                        watchdog=watchdog)
-        else:
-            integrator = RK4Integrator(self._rhs, mask=self.mask,
-                                       watchdog=watchdog)
+        stepper = HeunIntegrator if self.thermal is not None else RK4Integrator
+        integrator = stepper(self.derivative(), watchdog=watchdog)
+        layout = self.layout
+        m = layout.pack(self.m)
+
+        def state() -> Tuple[Dict[str, np.ndarray], Dict[str, float]]:
+            self.m = layout.unpack(m)
+            return self.state_dict()
 
         pending = sorted(snapshot_times) if snapshot_times else []
         snapshots: Dict[float, np.ndarray] = {}
         for probe in self.probes:
-            probe.record(self.t, self.m)
-        for step in range(n_steps):
-            if self.thermal is not None:
-                self.thermal.refresh(dt, step)
-            self.m = integrator.step(self.t, self.m, dt)
-            self.t += dt
-            if (step + 1) % sample_every == 0:
-                for probe in self.probes:
-                    probe.record(self.t, self.m)
-            while pending and self.t >= pending[0] - dt / 2.0:
-                snapshots[pending.pop(0)] = self.m.copy()
-            if checkpoint is not None:
-                checkpoint.maybe_save(step + 1, self.state_dict)
+            probe.record(self.t, m)
+        try:
+            for step in range(n_steps):
+                if self.thermal is not None:
+                    self.thermal.refresh(dt, step)
+                m = integrator.step(self.t, m, dt)
+                self.t += dt
+                if (step + 1) % sample_every == 0:
+                    for probe in self.probes:
+                        probe.record(self.t, m)
+                while pending and self.t >= pending[0] - dt / 2.0:
+                    snapshots[pending.pop(0)] = layout.unpack(m)
+                if checkpoint is not None:
+                    checkpoint.maybe_save(step + 1, state)
+        finally:
+            self.m = layout.unpack(m)
         return {"result": RunResult(t_final=self.t, n_steps=n_steps),
                 "snapshots": snapshots}
 
@@ -290,27 +327,25 @@ class Simulation:
         here 1/s] * 1e9... concretely we stop when
         ``max |dm/dt| * 1 ns < tolerance`` (dimensionless tilt/ns).
         """
-        saved_alpha = self.alpha
-        self.alpha = np.where(self.mask, high_damping, 0.0)
         saved_sources = list(self.zeeman.sources)
         self.zeeman.sources.clear()
+        rhs = self.derivative(np.full(self.mesh.scalar_shape, high_damping))
+        integrator = RK45Integrator(rhs, tolerance=1e-4, dt_max=5e-12)
+        m = self.layout.pack(self.m)
         try:
-            integrator = RK45Integrator(self._rhs, tolerance=1e-4,
-                                        dt_max=5e-12, mask=self.mask)
             dt = dt0
             t_start = self.t
             steps = 0
             while self.t - t_start < max_time:
-                self.m, taken, dt = integrator.step(self.t, self.m, dt)
+                m, taken, dt = integrator.step(self.t, m, dt)
                 self.t += taken
                 steps += 1
                 if steps % 10 == 0:
-                    torque = float(np.max(np.abs(
-                        self._rhs(self.t, self.m))))
+                    torque = float(np.max(np.abs(rhs(self.t, m))))
                     if torque * 1e-9 < tolerance:
                         break
             return RunResult(t_final=self.t, n_steps=steps,
                              wall_steps_rejected=integrator.rejected_steps)
         finally:
-            self.alpha = saved_alpha
+            self.m = self.layout.unpack(m)
             self.zeeman.sources = saved_sources

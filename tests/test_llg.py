@@ -15,6 +15,7 @@ from repro.micromag import (
     RK4Integrator,
     RK45Integrator,
     cross,
+    llg_coefficients,
     llg_rhs,
     normalize_field,
 )
@@ -65,7 +66,7 @@ class TestRhs:
         mesh = Mesh(cell_size=(1e-9,) * 3, shape=(1, 1, 1))
         m = _field_from(mvec, mesh)
         h = _field_from(hvec, mesh) * 1e5
-        dmdt = llg_rhs(m, h, GAMMA_LL, np.array(0.01))
+        dmdt = llg_rhs(m, h, *llg_coefficients(GAMMA_LL, 0.01))
         dot = np.sum(dmdt * m, axis=0)
         # |m| = 1, so m . dm/dt must vanish to floating precision of
         # the torque scale gamma mu0 |H|.
@@ -75,20 +76,20 @@ class TestRhs:
     def test_aligned_state_is_stationary(self, single_cell_mesh):
         m = _field_from((0, 0, 1), single_cell_mesh)
         h = _field_from((0, 0, 1), single_cell_mesh) * 1e5
-        dmdt = llg_rhs(m, h, GAMMA_LL, np.array(0.01))
+        dmdt = llg_rhs(m, h, *llg_coefficients(GAMMA_LL, 0.01))
         assert np.allclose(dmdt, 0.0, atol=1e-6)
 
     def test_damping_pushes_toward_field(self, single_cell_mesh):
         m = _field_from((1, 0, 0), single_cell_mesh)
         h = _field_from((0, 0, 1), single_cell_mesh) * 1e5
-        dmdt = llg_rhs(m, h, GAMMA_LL, np.array(0.1))
+        dmdt = llg_rhs(m, h, *llg_coefficients(GAMMA_LL, 0.1))
         # z component must grow (alignment), with alpha > 0.
         assert dmdt[2, 0, 0, 0] > 0.0
 
     def test_zero_damping_pure_precession(self, single_cell_mesh):
         m = _field_from((1, 0, 0), single_cell_mesh)
         h = _field_from((0, 0, 1), single_cell_mesh) * 1e5
-        dmdt = llg_rhs(m, h, GAMMA_LL, np.array(0.0))
+        dmdt = llg_rhs(m, h, *llg_coefficients(GAMMA_LL, 0.0))
         # No component along z (no alignment without damping).
         assert dmdt[2, 0, 0, 0] == pytest.approx(0.0, abs=1e-10)
         # Precession: -gamma mu0 m x H has dm/dt along -y for m=x, H=z.
@@ -99,7 +100,7 @@ class TestRhs:
         m = _field_from((1, 0, 0), single_cell_mesh)
         h_mag = 1e5
         h = _field_from((0, 0, 1), single_cell_mesh) * h_mag
-        dmdt = llg_rhs(m, h, GAMMA_LL, np.array(0.0))
+        dmdt = llg_rhs(m, h, *llg_coefficients(GAMMA_LL, 0.0))
         assert abs(dmdt[1, 0, 0, 0]) == pytest.approx(
             GAMMA_LL * MU0 * h_mag, rel=1e-9)
 
@@ -109,10 +110,10 @@ class _ConstantFieldRHS:
 
     def __init__(self, h_field, alpha):
         self.h = h_field
-        self.alpha = np.array(alpha)
+        self.coefficients = llg_coefficients(GAMMA_LL, alpha)
 
     def __call__(self, t, m):
-        return llg_rhs(m, self.h, GAMMA_LL, self.alpha)
+        return llg_rhs(m, self.h, *self.coefficients)
 
 
 class TestIntegrators:
