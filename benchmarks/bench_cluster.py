@@ -172,7 +172,7 @@ def _report(result):
     return "\n".join(lines)
 
 
-def _write_trajectory(result):
+def _write_snapshot(result):
     metrics = {"overhead_ms_per_job": (result["overhead_ms_per_job"],
                                        "ms")}
     for count, stats in result["scaling"].items():
@@ -185,7 +185,7 @@ def bench_cluster_scaling(benchmark):
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
     emit("CLUSTER SCALING (1 -> 2 -> 4 TCP workers + overhead budget)",
          _report(result))
-    _write_trajectory(result)
+    _write_snapshot(result)
     if (os.cpu_count() or 1) >= 2:
         # Parallel speedup needs parallel hardware; a 1-CPU host can
         # still verify the overhead budget below.
@@ -199,7 +199,7 @@ def main() -> int:
     result = measure()
     emit("CLUSTER SCALING (1 -> 2 -> 4 TCP workers + overhead budget)",
          _report(result))
-    _write_trajectory(result)
+    _write_snapshot(result)
     if not MAX_OVERHEAD_MS:
         return 0
     return 0 if result["overhead_ms_per_job"] < MAX_OVERHEAD_MS else 1

@@ -11,7 +11,6 @@ from typing import Mapping, Tuple, Union
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 REPORT_PATH = os.path.join(OUTPUT_DIR, "report.txt")
-TRAJECTORY_PATH = os.path.join(OUTPUT_DIR, "BENCH_TRAJECTORY.jsonl")
 
 
 def emit(title: str, body: str) -> None:
@@ -30,9 +29,8 @@ def emit(title: str, body: str) -> None:
 def bench_commit() -> str:
     """The commit hash stamped into BENCH_*.json records.
 
-    ``REPRO_COMMIT`` (set by CI) wins; a source checkout falls back to
-    ``git rev-parse``; anything else reads ``"unknown"`` -- the record
-    is still useful, just not trajectory-addressable.
+    ``REPRO_COMMIT`` wins; a source checkout falls back to
+    ``git rev-parse``; anything else reads ``"unknown"``.
     """
     commit = os.environ.get("REPRO_COMMIT")
     if commit:
@@ -52,22 +50,13 @@ def bench_commit() -> str:
 def write_bench_json(
         bench: str,
         metrics: Mapping[str, Union[Tuple[float, str], float]]) -> str:
-    """Persist bench results in the common trajectory schema.
-
-    Writes ``benchmarks/output/BENCH_<bench>.json`` -- a JSON list of
-    ``{bench, metric, value, unit, better, commit, ts}`` records, the
-    latest-run snapshot -- and **appends** the same records to
-    ``BENCH_TRAJECTORY.jsonl``, the accumulating commit-keyed history
-    that ``python -m repro bench report|compare`` reads.  The snapshot
-    is clobbered per run by design; the trajectory never is.
+    """Write ``benchmarks/output/BENCH_<bench>.json``, the latest-run
+    snapshot: a JSON list of ``{bench, metric, value, unit, commit, ts}``
+    records, overwritten by every run.
 
     ``metrics`` maps metric name to ``(value, unit)``; a bare number is
-    taken as dimensionless (``unit=""``).  ``better`` (``"higher"`` or
-    ``"lower"``), the regression direction the gate uses, comes from
-    the name and unit by :func:`repro.obs.trajectory.higher_is_better`.
+    taken as dimensionless (``unit=""``).
     """
-    from repro.obs.trajectory import higher_is_better
-
     commit = bench_commit()
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds")
@@ -77,16 +66,12 @@ def write_bench_json(
             value, unit = entry
         else:
             value, unit = entry, ""
-        better = "higher" if higher_is_better(metric, unit) else "lower"
         records.append({"bench": bench, "metric": metric,
-                        "value": value, "unit": unit, "better": better,
+                        "value": value, "unit": unit,
                         "commit": commit, "ts": stamp})
     os.makedirs(OUTPUT_DIR, exist_ok=True)
     path = os.path.join(OUTPUT_DIR, f"BENCH_{bench}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    with open(TRAJECTORY_PATH, "a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
     return path

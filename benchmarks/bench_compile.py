@@ -7,8 +7,8 @@ per-circuit wall time and fabric figures.  Every compile must come out
 DRC-clean and functionally equivalent -- this bench is the compiler's
 own smoke barrier.
 
-Emits ``benchmarks/output/BENCH_compile.json`` in the common
-trajectory schema so compile latency is tracked PR-over-PR.  Runnable
+Writes the ``benchmarks/output/BENCH_compile.json`` snapshot (see
+``bench_common.write_bench_json``), which CI uploads.  Runnable
 standalone for CI (``python benchmarks/bench_compile.py`` exits
 non-zero on a dirty or slow compile) or through pytest-benchmark.
 """
@@ -84,7 +84,7 @@ def _report(results: dict) -> str:
     return "\n".join(lines)
 
 
-def _write_trajectory(results: dict) -> None:
+def _write_snapshot(results: dict) -> None:
     metrics = {}
     for name, row in results.items():
         metrics[f"{name}_compile_ms"] = (row["seconds"] * 1e3, "ms")
@@ -103,14 +103,14 @@ def _ok(results: dict) -> bool:
 def bench_compile(benchmark):
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
     emit("COMPILE (spec -> placed DRC-clean fabric)", _report(results))
-    _write_trajectory(results)
+    _write_snapshot(results)
     assert _ok(results), results
 
 
 def main() -> int:
     results = measure()
     emit("COMPILE (spec -> placed DRC-clean fabric)", _report(results))
-    _write_trajectory(results)
+    _write_snapshot(results)
     return 0 if _ok(results) else 1
 
 

@@ -15,8 +15,8 @@ leapfrog loop.  This bench times three variants on an identical
 * ``enabled``   -- the same with spans + metrics active, for scale.
 
 The enabled run's ``fdtd.phase.*_ms`` histograms (stencil, boundary,
-source) are written to the trajectory as microseconds per step, so the
-solver-phase split has a series of its own.
+source) are written to the ``BENCH_obs_overhead.json`` snapshot as
+microseconds per step, so the solver-phase split is recorded too.
 
 Runnable standalone for CI (``python benchmarks/bench_obs_overhead.py``
 exits non-zero above budget) or through pytest-benchmark.
@@ -150,7 +150,7 @@ def _report(timing: dict) -> str:
     ])
 
 
-def _write_trajectory(timing: dict) -> None:
+def _write_snapshot(timing: dict) -> None:
     write_bench_json("obs_overhead", {
         "baseline": (timing["baseline_s"], "s"),
         "disabled": (timing["disabled_s"], "s"),
@@ -167,14 +167,14 @@ def bench_obs_overhead(benchmark):
     timing = benchmark.pedantic(measure, rounds=1, iterations=1)
     emit("OBS OVERHEAD (tracing disabled must stay under 5 %)",
          _report(timing))
-    _write_trajectory(timing)
+    _write_snapshot(timing)
     assert timing["disabled_overhead"] < BUDGET
 
 
 def main() -> int:
     timing = measure()
     print(_report(timing))
-    _write_trajectory(timing)
+    _write_snapshot(timing)
     return 0 if timing["disabled_overhead"] < BUDGET else 1
 
 

@@ -114,7 +114,7 @@ def _report(timing: dict) -> str:
     ])
 
 
-def _write_trajectory(timing: dict) -> None:
+def _write_snapshot(timing: dict) -> None:
     write_bench_json("resilience_overhead", {
         "baseline": (timing["baseline_s"], "s"),
         "disabled": (timing["disabled_s"], "s"),
@@ -130,14 +130,14 @@ def bench_resilience_overhead(benchmark):
     timing = benchmark.pedantic(measure, rounds=1, iterations=1)
     emit("RESILIENCE OVERHEAD (no watchdog/plan must stay under 5 %)",
          _report(timing))
-    _write_trajectory(timing)
+    _write_snapshot(timing)
     assert timing["disabled_overhead"] < BUDGET
 
 
 def main() -> int:
     timing = measure()
     print(_report(timing))
-    _write_trajectory(timing)
+    _write_snapshot(timing)
     return 0 if timing["disabled_overhead"] < BUDGET else 1
 
 

@@ -137,7 +137,7 @@ def _report(result):
     return "\n".join(lines)
 
 
-def _write_trajectory(result) -> None:
+def _write_snapshot(result) -> None:
     metrics = {}
     for regime in ("cold", "warm"):
         stats = result[regime]
@@ -151,7 +151,7 @@ def bench_serve_throughput(benchmark):
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
     emit("SERVE THROUGHPUT (warm cache must sustain the req/s floor)",
          _report(result))
-    _write_trajectory(result)
+    _write_snapshot(result)
     assert result["cold"]["errors"] == 0
     assert result["warm"]["errors"] == 0
     assert result["warm"]["rps"] >= MIN_WARM_RPS
@@ -161,7 +161,7 @@ def main() -> int:
     result = measure()
     emit("SERVE THROUGHPUT (warm cache must sustain the req/s floor)",
          _report(result))
-    _write_trajectory(result)
+    _write_snapshot(result)
     if result["cold"]["errors"] or result["warm"]["errors"]:
         return 1
     return 0 if result["warm"]["rps"] >= MIN_WARM_RPS else 1

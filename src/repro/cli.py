@@ -635,44 +635,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0 if drc.clean else 1
 
 
-#: ``bench compare`` exit code when there is no trajectory to gate on.
-#: Distinct from 0 ("no regressions") and 1 ("regressed") so CI can
-#: treat a first-run repo as skip-not-pass.  ``bench report`` still
-#: exits 0 on an empty trajectory: an empty report is a valid report.
-EXIT_NO_TRAJECTORY = 3
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .obs import trajectory
-
-    records = trajectory.load_trajectory(args.trajectory)
-    if not records:
-        print(f"bench {args.action}: no trajectory at {args.trajectory} "
-              "(run any benchmarks/bench_*.py to start one)")
-        return 0 if args.action == "report" else EXIT_NO_TRAJECTORY
-    comparisons = trajectory.compare(records, threshold=args.threshold,
-                                     baseline_window=args.baseline_window,
-                                     bench=args.bench)
-    print(trajectory.format_report(
-        comparisons,
-        title=f"bench trajectory: {len(records)} records, "
-              f"latest commit {comparisons[0].commit if comparisons else '?'}"))
-    if args.action == "report":
-        return 0
-    regressions = [c for c in comparisons if c.regressed]
-    print()
-    if regressions:
-        print(f"{len(regressions)} regression(s) beyond "
-              f"{args.threshold * 100:.0f} %:")
-        for c in regressions:
-            print(f"  {c.bench}.{c.metric}: {c.baseline:.6g} -> "
-                  f"{c.latest:.6g} {c.unit} ({c.change * 100:+.1f} %)")
-        return 1
-    print(f"no regressions beyond {args.threshold * 100:.0f} % "
-          f"across {len(comparisons)} series")
-    return 0
-
-
 def _cmd_debug(args: argparse.Namespace) -> int:
     import datetime
     import json
@@ -1028,27 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--report", None, None, "PATH",
          "write the characterization report as JSON (requires "
          "--characterize)")))
-
-    p_bench = command(
-        "bench", _cmd_bench,
-        "report or gate on the accumulated benchmark trajectory "
-        "(benchmarks/output/BENCH_TRAJECTORY.jsonl)")
-    p_bench.add_argument("action", choices=["report", "compare"],
-                         help="report: sparkline history per metric "
-                              "(exit 0 even when the trajectory is "
-                              "missing); compare: exit 1 when the "
-                              "latest commit regressed beyond "
-                              "--threshold, exit 3 when there is no "
-                              "trajectory to gate on")
-    _add_flags(p_bench, (
-        ("--trajectory", None, "benchmarks/output/BENCH_TRAJECTORY.jsonl",
-         "PATH", "trajectory JSONL file (default %(default)s)"),
-        ("--threshold", float, 0.15, "R",
-         "relative regression threshold (default 0.15 = 15 %%)"),
-        ("--baseline-window", int, 5, "N",
-         "earlier-commit records forming the rolling baseline median "
-         "(default %(default)s)"),
-        ("--bench", None, None, "NAME", "restrict to one benchmark name")))
 
     p_debug = command("debug", _cmd_debug,
                       "inspect the flight recorder (docs/OBSERVABILITY.md)")

@@ -42,45 +42,6 @@ def format_table(header: Sequence[str], rows: Sequence[Sequence[str]],
     return "\n".join(lines)
 
 
-#: Unicode block characters used by :func:`sparkline`, low to high.
-SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
-    """Render a numeric series as a one-line unicode sparkline.
-
-    Values are min-max scaled onto eight block heights; a flat series
-    renders mid-height.  Non-finite entries render as ``·``.  When
-    ``width`` is given only the most recent ``width`` values are shown
-    (a trajectory tail), not a resampled view.
-
-    >>> sparkline([1, 2, 3, 4])
-    '▁▃▆█'
-    """
-    import math
-
-    series = [float(v) for v in values]
-    if width is not None and width > 0:
-        series = series[-width:]
-    if not series:
-        return ""
-    finite = [v for v in series if math.isfinite(v)]
-    if not finite:
-        return "·" * len(series)
-    lo, hi = min(finite), max(finite)
-    span = hi - lo
-    chars: List[str] = []
-    for v in series:
-        if not math.isfinite(v):
-            chars.append("·")
-        elif span == 0.0:
-            chars.append(SPARK_CHARS[len(SPARK_CHARS) // 2])
-        else:
-            index = int((v - lo) / span * (len(SPARK_CHARS) - 1) + 0.5)
-            chars.append(SPARK_CHARS[index])
-    return "".join(chars)
-
-
 def format_truth_table(patterns: Sequence[Sequence[int]],
                        columns: Sequence[str],
                        values: Sequence[Sequence[object]],

@@ -76,9 +76,6 @@ ARGVS = [
      "--row-clearance", "2", "--col-clearance", "3", "--out", "o.json",
      "--report", "r.json", "--cache-dir", "c", "--no-cache",
      "--workers", "4"],
-    ["bench", "report"],
-    ["bench", "compare", "--trajectory", "t.jsonl", "--threshold", "0.3",
-     "--baseline-window", "2", "--bench", "b"],
     ["debug", "dump"],
     ["debug", "dump", "--dir", "d", "--json"],
     ["--workers", "0"],

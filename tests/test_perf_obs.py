@@ -1,18 +1,17 @@
 """Tests for the continuous-performance layer: thread-safe metrics,
 bucketed histogram quantiles, Prometheus edge cases, the flight
 recorder, solver-phase profiling helpers, resource probes, and the
-bench-trajectory regression gate (store, compare, CLI)."""
+``repro debug dump`` CLI."""
 
 import json
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.obs import flight, prometheus, trajectory
+from repro.obs import flight, prometheus
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from repro.runtime.report import (
     MODE_POOL, STATUS_OK, JobRecord, RunReport)
@@ -353,219 +352,7 @@ class TestJobResources:
 
 
 # ---------------------------------------------------------------------------
-# Bench trajectory store and regression gate
-
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
-
-
-def _rec(bench, metric, value, commit, unit="s"):
-    return {"bench": bench, "metric": metric, "value": value,
-            "unit": unit, "commit": commit, "ts": "2026-08-08T00:00:00"}
-
-
-class TestTrajectoryStore:
-    def test_append_then_load_roundtrip(self, tmp_path):
-        path = tmp_path / "traj.jsonl"
-        trajectory.append_records(path, [_rec("b", "m", 1.0, "aaa")])
-        trajectory.append_records(path, [_rec("b", "m", 2.0, "bbb")])
-        records = trajectory.load_trajectory(path)
-        assert [r["value"] for r in records] == [1.0, 2.0]
-
-    def test_load_skips_torn_lines(self, tmp_path):
-        path = tmp_path / "traj.jsonl"
-        path.write_text(
-            json.dumps(_rec("b", "m", 1.0, "aaa")) + "\n"
-            + '{"bench": "b", "metric": "m", "val'  # torn mid-write
-            + "\nnot json at all\n"
-            + json.dumps({"bench": "b"}) + "\n"     # missing fields
-            + json.dumps(_rec("b", "m", 2.0, "bbb")) + "\n")
-        records = trajectory.load_trajectory(path)
-        assert [r["value"] for r in records] == [1.0, 2.0]
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert trajectory.load_trajectory(tmp_path / "nope.jsonl") == []
-
-
-class TestRegressionGate:
-    def test_same_commit_twice_reports_zero_regressions(self):
-        records = [_rec("obs", "wall_s", 1.0, "aaa"),
-                   _rec("obs", "wall_s", 1.05, "aaa")]
-        (c,) = trajectory.compare(records)
-        assert c.baseline is None
-        assert c.change is None
-        assert not c.regressed
-
-    def test_synthetic_2x_slowdown_is_flagged(self):
-        records = ([_rec("obs", "wall_s", 1.0, "aaa")] * 3
-                   + [_rec("obs", "wall_s", 2.0, "bbb")])
-        (c,) = trajectory.compare(records, threshold=0.15)
-        assert c.baseline == pytest.approx(1.0)
-        assert c.change == pytest.approx(1.0)
-        assert c.regressed
-
-    def test_speedup_not_flagged(self):
-        records = ([_rec("obs", "wall_s", 1.0, "aaa")] * 3
-                   + [_rec("obs", "wall_s", 0.5, "bbb")])
-        (c,) = trajectory.compare(records)
-        assert not c.regressed
-
-    def test_throughput_drop_is_a_regression(self):
-        records = ([_rec("serve", "req_per_s", 100.0, "aaa",
-                         unit="req/s")] * 3
-                   + [_rec("serve", "req_per_s", 50.0, "bbb",
-                           unit="req/s")])
-        (c,) = trajectory.compare(records)
-        assert c.change == pytest.approx(0.5)  # sign-normalised: worse
-        assert c.regressed
-
-    def test_throughput_rise_is_fine(self):
-        records = ([_rec("serve", "req_per_s", 100.0, "aaa",
-                         unit="req/s")] * 3
-                   + [_rec("serve", "req_per_s", 200.0, "bbb",
-                           unit="req/s")])
-        (c,) = trajectory.compare(records)
-        assert not c.regressed
-
-    def test_latest_is_median_of_repeat_runs(self):
-        records = ([_rec("obs", "wall_s", 1.0, "aaa")] * 3
-                   + [_rec("obs", "wall_s", 0.9, "bbb"),
-                      _rec("obs", "wall_s", 1.0, "bbb"),
-                      _rec("obs", "wall_s", 50.0, "bbb")])  # one outlier
-        (c,) = trajectory.compare(records)
-        assert c.latest == pytest.approx(1.0)
-        assert not c.regressed
-
-    def test_bench_filter(self):
-        records = [_rec("a", "m", 1.0, "x"), _rec("b", "m", 1.0, "x")]
-        comparisons = trajectory.compare(records, bench="a")
-        assert [c.bench for c in comparisons] == ["a"]
-
-    def test_report_contains_sparkline_and_verdict(self):
-        records = ([_rec("obs", "wall_s", 1.0, "aaa")] * 3
-                   + [_rec("obs", "wall_s", 2.0, "bbb")])
-        out = trajectory.format_report(trajectory.compare(records))
-        assert "REGRESSED" in out
-        assert any(ch in out for ch in "▁▂▃▄▅▆▇█")
-
-    def test_higher_is_better_heuristics(self):
-        assert trajectory.higher_is_better("anything", "req/s")
-        assert trajectory.higher_is_better("steps_per_s", "")
-        assert trajectory.higher_is_better("decode_throughput", "")
-        assert not trajectory.higher_is_better("wall_s", "s")
-        assert not trajectory.higher_is_better("max_rss_kb", "kB")
-        assert trajectory.higher_is_better("efficiency_4w", "")
-        assert trajectory.higher_is_better("speedup_4w_x", "")
-        assert trajectory.higher_is_better("warm_rps", "")
-        assert not trajectory.higher_is_better("elapsed_1w", "s")
-
-    def test_explicit_direction_wins(self):
-        assert trajectory.higher_is_better("wall_s", "s", better="higher")
-        assert not trajectory.higher_is_better("warm_rps", "req/s",
-                                               better="lower")
-
-    @pytest.mark.parametrize("better", [None, "higher"])
-    def test_efficiency_rise_is_not_a_regression(self, better):
-        rows = ([_rec("cluster", "efficiency_4w", 0.24, "aaa", unit="")] * 3
-                + [_rec("cluster", "efficiency_4w", 0.30, "bbb", unit="")])
-        if better:
-            for row in rows:
-                row["better"] = better
-        (c,) = trajectory.compare(rows)
-        assert c.change < 0
-        assert not c.regressed
-
-    def test_efficiency_drop_is_a_regression(self):
-        rows = ([_rec("cluster", "efficiency_4w", 0.30, "aaa", unit="")] * 3
-                + [_rec("cluster", "efficiency_4w", 0.15, "bbb", unit="")])
-        (c,) = trajectory.compare(rows)
-        assert c.regressed
-
-    def test_seeded_2x_elapsed_slowdown_is_a_regression(self):
-        rows = ([_rec("cluster", "elapsed_1w", 2.9, "aaa")] * 3
-                + [_rec("cluster", "elapsed_1w", 5.8, "bbb")])
-        for row in rows:
-            row["better"] = "lower"
-        (c,) = trajectory.compare(rows)
-        assert c.change == pytest.approx(1.0)
-        assert c.regressed
-
-    def test_bench_records_carry_their_direction(self, tmp_path,
-                                                 monkeypatch):
-        sys.path.insert(0, str(BENCH_DIR))
-        try:
-            import bench_common
-        finally:
-            sys.path.remove(str(BENCH_DIR))
-        monkeypatch.setattr(bench_common, "OUTPUT_DIR", str(tmp_path))
-        monkeypatch.setattr(bench_common, "TRAJECTORY_PATH",
-                            str(tmp_path / "traj.jsonl"))
-        monkeypatch.setenv("REPRO_COMMIT", "abc")
-        bench_common.write_bench_json("cluster", {
-            "elapsed_1w": (2.9, "s"), "efficiency_4w": 0.24})
-        rows = {row["metric"]: row for row in trajectory.load_trajectory(
-            tmp_path / "traj.jsonl")}
-        assert rows["elapsed_1w"]["better"] == "lower"
-        assert rows["efficiency_4w"]["better"] == "higher"
-
-
-# ---------------------------------------------------------------------------
-# CLI: repro bench report|compare, repro debug dump
-
-
-class TestBenchCli:
-    def test_report_missing_trajectory_exits_zero(self, tmp_path, capsys):
-        code = main(["bench", "report",
-                     "--trajectory", str(tmp_path / "none.jsonl")])
-        assert code == 0
-        assert "no trajectory" in capsys.readouterr().out
-
-    def test_compare_missing_trajectory_exits_three(self, tmp_path,
-                                                    capsys):
-        # Distinct from a real regression (1) and from success (0):
-        # CI can treat "nothing to compare yet" as a soft skip.
-        code = main(["bench", "compare",
-                     "--trajectory", str(tmp_path / "none.jsonl")])
-        assert code == 3
-        assert "no trajectory" in capsys.readouterr().out
-
-    def test_compare_same_commit_twice_exits_zero(self, tmp_path, capsys):
-        path = tmp_path / "traj.jsonl"
-        trajectory.append_records(path, [
-            _rec("obs", "wall_s", 1.0, "aaa"),
-            _rec("obs", "wall_s", 1.02, "aaa")])
-        code = main(["bench", "compare", "--trajectory", str(path)])
-        assert code == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_compare_flags_seeded_slowdown(self, tmp_path, capsys):
-        path = tmp_path / "traj.jsonl"
-        trajectory.append_records(
-            path, [_rec("obs", "wall_s", 1.0, "aaa")] * 3
-            + [_rec("obs", "wall_s", 2.0, "bbb")])
-        code = main(["bench", "compare", "--trajectory", str(path)])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        assert "obs.wall_s" in out
-
-    def test_report_never_gates(self, tmp_path, capsys):
-        path = tmp_path / "traj.jsonl"
-        trajectory.append_records(
-            path, [_rec("obs", "wall_s", 1.0, "aaa")] * 3
-            + [_rec("obs", "wall_s", 2.0, "bbb")])
-        code = main(["bench", "report", "--trajectory", str(path)])
-        assert code == 0
-
-    def test_compare_threshold_is_tunable(self, tmp_path):
-        path = tmp_path / "traj.jsonl"
-        trajectory.append_records(
-            path, [_rec("obs", "wall_s", 1.0, "aaa")] * 3
-            + [_rec("obs", "wall_s", 1.3, "bbb")])
-        assert main(["bench", "compare", "--trajectory", str(path),
-                     "--threshold", "0.5"]) == 0
-        assert main(["bench", "compare", "--trajectory", str(path),
-                     "--threshold", "0.1"]) == 1
+# CLI: repro debug dump
 
 
 class TestDebugCli:
