@@ -49,6 +49,12 @@ class UniaxialAnisotropyField:
         self.mask = self.layout.mask
         self._prefactor = 2.0 * ku / (MU0 * ms)
 
+    @property
+    def tensor(self) -> np.ndarray:
+        """The field as a local linear map: ``H = tensor @ m`` with
+        ``tensor = (2Ku/mu0 Ms) u u^T`` [A/m]."""
+        return self._prefactor * np.outer(self.axis, self.axis)
+
     def field(self, m: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Anisotropy field [A/m]: ``(2Ku/mu0 Ms) (m.u) u`` inside the mask.
 

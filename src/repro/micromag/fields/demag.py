@@ -259,6 +259,12 @@ class ThinFilmDemagField:
         self.layout = CellLayout(mesh, mask)
         self.mask = self.layout.mask
 
+    @property
+    def tensor(self) -> np.ndarray:
+        """The field as a local linear map: ``H = tensor @ m`` with
+        ``tensor = -Ms z z^T`` [A/m]."""
+        return np.diag([0.0, 0.0, -self.ms])
+
     def field(self, m: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Local demag field [A/m], packed or canvas like ``m``."""
         if self.layout.is_canvas(m):

@@ -38,9 +38,12 @@ class ZeemanField:
         self.layout = CellLayout(mesh, mask)
         self.mask = self.layout.mask
         self.sources: List = []
-        # The unit-amplitude drive of each source on the packed cells,
-        # one (3 N) row per source, and the sources it was built for.
-        self._profiles = np.zeros((0, 3 * self.layout.n_cells))
+        # The unit-amplitude drive of each source on the source columns
+        # (the packed cells some source covers), one (3 K) row per
+        # source; the flat indices of those columns in a packed (3, N)
+        # field; and the sources they were built for.
+        self._profiles = np.zeros((0, 0))
+        self._flat = np.zeros(0, dtype=np.intp)
         self._profiled: List = []
 
     def add_source(self, source) -> None:
@@ -49,22 +52,34 @@ class ZeemanField:
         :class:`~repro.micromag.excitation.ExcitationSource`)."""
         self.sources.append(source)
 
-    def field(self, m: np.ndarray = None, t: float = 0.0) -> np.ndarray:
+    def field(self, m: np.ndarray = None, t: float = 0.0,
+              onto: np.ndarray = None) -> np.ndarray:
         """Total applied field [A/m] at time ``t``.
 
         The magnetisation only selects the form: packed ``(3, N)`` for a
         packed ``m``, the canvas when ``m`` is a canvas or ``None``.
+        With ``onto``, a packed field, the applied field is instead
+        added to it in place -- the drive on the source columns only --
+        and ``onto`` is returned.
         """
         if self._profiled != self.sources:  # sources compare by identity
             self._profiled = list(self.sources)
-            self._profiles = np.array(
-                [self.layout.pack(source.profile(self.mesh)).ravel()
+            n = self.layout.n_cells
+            profiles = np.array(
+                [self.layout.pack(source.profile(self.mesh))
                  for source in self.sources]).reshape(
-                     len(self.sources), 3 * self.layout.n_cells)
-        drive = np.array([source.waveform(t) for source in self.sources])
-        h = np.dot(drive, self._profiles).reshape(3, self.layout.n_cells)
-        h += self.static_field[:, None]
-        if m is None or self.layout.is_canvas(m):
+                     len(self.sources), 3, n)
+            columns = np.flatnonzero(np.any(profiles, axis=(0, 1)))
+            self._flat = (np.arange(3)[:, None] * n + columns).ravel()
+            self._profiles = profiles[:, :, columns].reshape(
+                len(self.sources), len(self._flat))
+        drive = np.dot([source.waveform(t) for source in self.sources],
+                       self._profiles)
+        h = np.zeros((3, self.layout.n_cells)) if onto is None else onto
+        if self.static_field.any():
+            h += self.static_field[:, None]
+        h.put(self._flat, h.take(self._flat) + drive)
+        if onto is None and (m is None or self.layout.is_canvas(m)):
             return self.layout.unpack(h)
         return h
 

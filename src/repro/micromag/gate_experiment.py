@@ -156,7 +156,7 @@ def scaled_xor_experiment(material: Material = FECOB,
     arms the canvas is 67 x 72 cells, 879 of them magnetic (the only
     ones the solver steps).  One input pattern -- about 42,000 RK4
     steps of settling and six measured periods -- integrates in about
-    23 s on one core of a 2-CPU x86-64 host.
+    17 s on one core of a 2-CPU x86-64 host.
     """
     lam = _scaled_wavelength(material, frequency)
     dims = GateDimensions(

@@ -22,14 +22,16 @@ the magnetic cells.  Integrators:
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .mesh import normalize_field
 from .. import obs
 from ..constants import MU0
+from ..errors import NumericalDivergenceError
 from ..resilience import faults
 from ..resilience.guardrails import Watchdog
 
@@ -82,22 +84,32 @@ def _guard_step(watchdog: Optional[Watchdog], t: float, m: np.ndarray,
         watchdog.observe(t, m=m, mask=mask)
 
 
-def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """Component-first cross product ``a x b`` for ``(3, ...)`` fields.
+def cyclic(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The cyclic ``(5, ...)`` form of a ``(3, ...)`` field: rows 3-4
+    repeat rows 0-1, into ``out`` when given.
 
-    ``out`` must not share memory with ``a`` or ``b``.
+    On it ``a[1:4]`` and ``a[2:5]`` are the component sequences
+    ``(y, z, x)`` and ``(z, x, y)``, so a cross product is three
+    whole-array ufunc calls (:func:`_cross`).
     """
     if out is None:
-        out = np.empty_like(a)
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    np.multiply(a1, b2, out=out[0])
-    out[0] -= a2 * b1
-    np.multiply(a2, b0, out=out[1])
-    out[1] -= a0 * b2
-    np.multiply(a0, b1, out=out[2])
-    out[2] -= a1 * b0
+        out = np.empty((5,) + a.shape[1:], dtype=a.dtype)
+    out[:3] = a
+    out[3:] = a[:2]
     return out
+
+
+def _cross(a: np.ndarray, b: np.ndarray,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a x b`` of two cyclic fields, as a ``(3, ...)`` field."""
+    out = np.multiply(a[1:4], b[2:5], out=out)
+    out -= a[2:5] * b[1:4]
+    return out
+
+
+def cross(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Component-first cross product ``a x b`` for ``(3, ...)`` fields."""
+    return _cross(cyclic(a), cyclic(b), out)
 
 
 def llg_coefficients(gamma: float, alpha) -> Tuple[np.ndarray, np.ndarray]:
@@ -116,7 +128,9 @@ def llg_rhs(m: np.ndarray, h_eff: np.ndarray, precession: np.ndarray,
             damping: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Evaluate the LLG time derivative.
 
-    ``dm/dt = precession (m x H) + damping m x (m x H)``
+    ``dm/dt = precession (m x H) + damping m x (m x H)``, computed as
+    ``m x (precession H + damping (m x H))``: two cross products on
+    cyclic views (:func:`cyclic`).
 
     Parameters
     ----------
@@ -130,26 +144,29 @@ def llg_rhs(m: np.ndarray, h_eff: np.ndarray, precession: np.ndarray,
     out:
         Optional output buffer.
 
+    ``m`` and ``h_eff`` may also come in their cyclic ``(5, ...)``
+    form, which spares copying them; a cyclic ``h_eff`` is then the
+    workspace and holds ``precession H + damping (m x H)`` on return.
+
     Returns
     -------
     numpy.ndarray
         ``dm/dt`` [1/s].
     """
-    torque = cross(m, h_eff)
-    relaxation = cross(m, torque)
-    out = np.multiply(torque, precession, out=out)
-    relaxation *= damping
-    out += relaxation
-    return out
+    if len(m) == 3:
+        m = cyclic(m)
+    h = h_eff if len(h_eff) == 5 else cyclic(h_eff)
+    torque = _cross(m, h, out)
+    torque *= damping
+    h[:3] *= precession
+    h[:3] += torque
+    h[3:] = h[:2]
+    return _cross(m, h, torque)
 
 
-class RK4Integrator:
-    """Classical fixed-step 4th-order Runge-Kutta with renormalisation.
-
-    Renormalising ``|m| = 1`` after each step is the standard correction
-    for the drift that any generic one-step method accumulates on the
-    sphere; it preserves the 4th-order accuracy of the trajectory.
-    """
+class _Integrator:
+    """What the three integrators share: the right-hand side, the
+    per-step hooks and reusable work buffers."""
 
     def __init__(self, rhs: RHSFunction, renormalize: bool = True,
                  mask: np.ndarray = None,
@@ -160,6 +177,32 @@ class RK4Integrator:
         self.mask = mask
         self.progress = progress
         self.watchdog = watchdog
+        self._work: List[np.ndarray] = []
+
+    def _buffers(self, m: np.ndarray, count: int) -> List[np.ndarray]:
+        """``count`` work arrays shaped like ``m``, reused from step to
+        step: stage states and scaled slopes, never returned."""
+        work = self._work
+        if len(work) != count or work[0].shape != m.shape \
+                or work[0].dtype != m.dtype:
+            work = self._work = [np.empty_like(m) for _ in range(count)]
+        return work
+
+    def _finish(self, t0: Optional[float], t: float, new: np.ndarray,
+                dt: float, rejected: int = 0) -> None:
+        """Record the accepted step ending at ``t`` and report progress."""
+        _record_step(t0, new, self.mask, rejected)
+        if self.progress is not None:
+            self.progress(t, dt)
+
+
+class RK4Integrator(_Integrator):
+    """Classical fixed-step 4th-order Runge-Kutta with renormalisation.
+
+    Renormalising ``|m| = 1`` after each step is the standard correction
+    for the drift that any generic one-step method accumulates on the
+    sphere; it preserves the 4th-order accuracy of the trajectory.
+    """
 
     def step(self, t: float, m: np.ndarray, dt: float) -> np.ndarray:
         """Advance ``m`` by one step of size ``dt``; returns the new state."""
@@ -174,22 +217,23 @@ class RK4Integrator:
         # Each slope is folded into ``new`` (k1 + 2 k2 + 2 k3 + k4) and
         # the next stage state before the next evaluation, so one stage
         # buffer serves all three intermediate states.
+        stage, scaled = self._buffers(m, 2)
         k = self.rhs(t, m)
         if timer is not None:
             s = timer.lap("k1", s)
         new = k.copy()
-        stage = np.multiply(k, half)
+        np.multiply(k, half, out=stage)
         stage += m
         k = self.rhs(t + half, stage)
         if timer is not None:
             s = timer.lap("k2", s)
-        new += 2.0 * k
+        new += np.multiply(k, 2.0, out=scaled)
         np.multiply(k, half, out=stage)
         stage += m
         k = self.rhs(t + half, stage)
         if timer is not None:
             s = timer.lap("k3", s)
-        new += 2.0 * k
+        new += np.multiply(k, 2.0, out=scaled)
         np.multiply(k, dt, out=stage)
         stage += m
         k = self.rhs(t + dt, stage)
@@ -204,13 +248,11 @@ class RK4Integrator:
         if timer is not None:
             timer.lap("combine", s)
             timer.flush()
-        _record_step(t0, new, self.mask)
-        if self.progress is not None:
-            self.progress(t + dt, dt)
+        self._finish(t0, t + dt, new, dt)
         return new
 
 
-class HeunIntegrator:
+class HeunIntegrator(_Integrator):
     """Stochastic Heun (predictor-corrector) scheme.
 
     Converges to the Stratonovich solution of the stochastic LLG, which
@@ -219,16 +261,6 @@ class HeunIntegrator:
     RHS evaluations see the same noise, as the scheme requires.
     """
 
-    def __init__(self, rhs: RHSFunction, renormalize: bool = True,
-                 mask: np.ndarray = None,
-                 progress: Optional[ProgressCallback] = None,
-                 watchdog: Optional[Watchdog] = None):
-        self.rhs = rhs
-        self.renormalize = renormalize
-        self.mask = mask
-        self.progress = progress
-        self.watchdog = watchdog
-
     def step(self, t: float, m: np.ndarray, dt: float) -> np.ndarray:
         """One Heun step of size ``dt``."""
         if dt <= 0:
@@ -236,23 +268,24 @@ class HeunIntegrator:
         t0 = time.perf_counter() if obs.enabled() else None
         timer = obs.PhaseTimer("llg.heun") if t0 is not None else None
         s = timer.stamp() if timer is not None else 0
+        (predictor,) = self._buffers(m, 1)
         k1 = self.rhs(t, m)
-        predictor = m + dt * k1
+        np.multiply(k1, dt, out=predictor)
+        predictor += m
         if self.renormalize:
             normalize_field(predictor, self.mask)
         if timer is not None:
             s = timer.lap("predictor", s)
-        k2 = self.rhs(t + dt, predictor)
-        new = m + (dt / 2.0) * (k1 + k2)
+        new = k1 + self.rhs(t + dt, predictor)
+        new *= dt / 2.0
+        new += m
         _guard_step(self.watchdog, t + dt, new, self.mask)
         if self.renormalize:
             normalize_field(new, self.mask)
         if timer is not None:
             timer.lap("corrector", s)
             timer.flush()
-        _record_step(t0, new, self.mask)
-        if self.progress is not None:
-            self.progress(t + dt, dt)
+        self._finish(t0, t + dt, new, dt)
         return new
 
 
@@ -272,7 +305,7 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
           -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-class RK45Integrator:
+class RK45Integrator(_Integrator):
     """Adaptive Dormand-Prince 5(4) integrator (MuMax3's default family).
 
     Parameters
@@ -294,15 +327,12 @@ class RK45Integrator:
             raise ValueError("tolerance must be positive")
         if dt_min <= 0 or dt_max <= dt_min:
             raise ValueError("need 0 < dt_min < dt_max")
-        self.rhs = rhs
+        super().__init__(rhs, renormalize, mask, progress, watchdog)
         self.tolerance = tolerance
         self.dt_min = dt_min
         self.dt_max = dt_max
-        self.renormalize = renormalize
-        self.mask = mask
-        self.progress = progress
-        self.watchdog = watchdog
         self.last_dt: Optional[float] = None
+        self.accepted_steps = 0
         self.rejected_steps = 0
 
     def step(self, t: float, m: np.ndarray, dt: float) -> Tuple[np.ndarray, float, float]:
@@ -312,33 +342,47 @@ class RK45Integrator:
         -------
         tuple
             ``(new_m, dt_taken, dt_next)``.
+
+        Raises
+        ------
+        NumericalDivergenceError
+            When the error estimate is not finite: no step size can be
+            accepted then, and shrinking it would loop forever.
         """
         t0 = time.perf_counter() if obs.enabled() else None
         timer = obs.PhaseTimer("llg.rk45") if t0 is not None else None
         rejected_before = self.rejected_steps
         dt = float(np.clip(dt, self.dt_min, self.dt_max))
+        stage, scaled = self._buffers(m, 2)
         while True:
             s = timer.stamp() if timer is not None else 0
             ks = []
             for i in range(7):
-                mi = m.copy()
+                np.copyto(stage, m)
                 for j, aij in enumerate(_DP_A[i]):
                     if aij != 0.0:
-                        mi += dt * aij * ks[j]
-                ks.append(self.rhs(t + _DP_C[i] * dt, mi))
+                        stage += np.multiply(ks[j], dt * aij, out=scaled)
+                ks.append(self.rhs(t + _DP_C[i] * dt, stage))
             if timer is not None:
                 s = timer.lap("stages", s)
             m5 = m.copy()
-            m4 = m.copy()
             for bi, ki in zip(_DP_B5, ks):
                 if bi != 0.0:
-                    m5 += dt * bi * ki
+                    m5 += np.multiply(ki, dt * bi, out=scaled)
+            np.copyto(stage, m)
+            m4 = stage
             for bi, ki in zip(_DP_B4, ks):
                 if bi != 0.0:
-                    m4 += dt * bi * ki
-            error = float(np.max(np.abs(m5 - m4)))
+                    m4 += np.multiply(ki, dt * bi, out=scaled)
+            m4 -= m5
+            error = float(np.max(np.abs(m4, out=m4)))
             if timer is not None:
                 s = timer.lap("combine", s)
+            if not math.isfinite(error):
+                raise NumericalDivergenceError(
+                    "llg", self.accepted_steps + 1, t + dt,
+                    "non-finite RK45 error estimate",
+                    {"error": error, "dt": dt})
             if error <= self.tolerance or dt <= self.dt_min * 1.0000001:
                 _guard_step(self.watchdog, t + dt, m5, self.mask)
                 if self.renormalize:
@@ -351,12 +395,11 @@ class RK45Integrator:
                 dt_next = float(np.clip(dt * min(max(factor, 0.2), 5.0),
                                         self.dt_min, self.dt_max))
                 self.last_dt = dt
+                self.accepted_steps += 1
                 if timer is not None:
                     timer.flush()
-                _record_step(t0, m5, self.mask,
+                self._finish(t0, t + dt, m5, dt,
                              self.rejected_steps - rejected_before)
-                if self.progress is not None:
-                    self.progress(t + dt, dt)
                 return m5, dt, dt_next
             self.rejected_steps += 1
             dt = max(dt * max(0.9 * (self.tolerance / error) ** 0.2, 0.2),

@@ -274,9 +274,19 @@ def normalize_field(m: np.ndarray, mask: np.ndarray = None,
     Cells where the norm is ~0 (or outside ``mask``) are left at zero so
     vacuum regions stay empty.
     """
-    norm = np.sqrt(np.sum(m * m, axis=0))
+    # Summing the squares row by row gives the numbers of
+    # np.sum(m * m, axis=0) without its reduction overhead, which
+    # dominates at solver sizes; the masked divide runs only when some
+    # cell is to be left at zero.
+    squares = m * m
+    norm = np.add(squares[0], squares[1], out=squares[0])
+    norm += squares[2]
+    np.sqrt(norm, out=norm)
     inside = norm > epsilon
     if mask is not None:
         inside &= mask.astype(bool)
-    m *= np.divide(1.0, norm, out=np.zeros_like(norm), where=inside)
+    if inside.all():
+        m *= np.divide(1.0, norm, out=norm)
+    else:
+        m *= np.divide(1.0, norm, out=np.zeros_like(norm), where=inside)
     return m

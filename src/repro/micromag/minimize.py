@@ -31,13 +31,6 @@ class MinimizeResult:
     final_energy: float
 
 
-def _torque(sim: Simulation, m: np.ndarray) -> np.ndarray:
-    """Normalised steepest-descent direction ``-m x (m x H)``."""
-    h = sim.effective_field(m, sim.t)
-    mxh = cross(m, h)
-    return cross(m, mxh)  # points along the energy gradient on the sphere
-
-
 def minimize(sim: Simulation, torque_tolerance: float = 1e-4,
              max_iterations: int = 5000,
              initial_step: float = 1e-12) -> MinimizeResult:
@@ -69,23 +62,27 @@ def minimize(sim: Simulation, torque_tolerance: float = 1e-4,
         raise ValueError("need at least one iteration")
 
     ms = sim.material.ms
-    m = sim.m
+    layout = sim.layout
+    # The iteration runs on the packed (3, N) state of the magnetic
+    # cells, unpacked once on exit.
+    m = layout.pack(sim.m)
+    h = np.empty_like(m)
     step = initial_step
     previous_m: Optional[np.ndarray] = None
     previous_g: Optional[np.ndarray] = None
     iterations = 0
     torque_max = math.inf
+    converged = False
 
     for iterations in range(1, max_iterations + 1):
-        h = sim.effective_field(m, sim.t)
+        sim.effective_field(m, sim.t, out=h)
         mxh = cross(m, h)
+        # -m x (m x H) points down the energy gradient on the sphere.
         gradient = cross(m, mxh)
         torque_max = float(np.max(np.abs(mxh))) / ms
         if torque_max < torque_tolerance:
-            sim.m = m
-            return MinimizeResult(converged=True, iterations=iterations,
-                                  final_torque=torque_max,
-                                  final_energy=sim.total_energy())
+            converged = True
+            break
         if previous_m is not None:
             dm = (m - previous_m).ravel()
             dg = (gradient - previous_g).ravel()
@@ -97,11 +94,11 @@ def minimize(sim: Simulation, torque_tolerance: float = 1e-4,
             # ~1e5-1e7 A/m); 1e-6 m/A covers weak-torque landscapes
             # where BB wants long steps.
             step = float(np.clip(step, 1e-18, 1e-6))
-        previous_m = m.copy()
-        previous_g = gradient.copy()
+        previous_m = m
+        previous_g = gradient
         m = m - step * gradient
-        normalize_field(m, sim.mask)
-    sim.m = m
-    return MinimizeResult(converged=False, iterations=iterations,
+        normalize_field(m)
+    sim.m = layout.unpack(m)
+    return MinimizeResult(converged=converged, iterations=iterations,
                           final_torque=torque_max,
                           final_energy=sim.total_energy())

@@ -43,6 +43,7 @@ from .llg import (
     RK4Integrator,
     RK45Integrator,
     RHSFunction,
+    cyclic,
     llg_coefficients,
     llg_rhs,
 )
@@ -110,7 +111,6 @@ class Simulation:
                 stacklevel=2)
 
         # Field terms ---------------------------------------------------------
-        self.exchange = ExchangeField(mesh, material.aex, material.ms, self.mask)
         self.anisotropy = (
             UniaxialAnisotropyField(mesh, material.ku, material.ms,
                                     material.anisotropy_axis, self.mask)
@@ -124,6 +124,16 @@ class Simulation:
             self.demag = None
         else:
             raise ValueError("demag must be 'full', 'thin_film' or 'none'")
+        # The local linear terms (anisotropy, thin-film demag) are folded
+        # into the exchange operator; only the Newell demag stays apart.
+        terms = [term for term in (self.anisotropy, self.demag)
+                 if term is not None]
+        self.exchange = ExchangeField(
+            mesh, material.aex, material.ms, self.mask,
+            onsite=sum((term.tensor for term in terms
+                        if hasattr(term, "tensor")), np.zeros((3, 3))))
+        self._nonlocal = [term for term in terms
+                          if not hasattr(term, "tensor")]
         self.thermal = (
             ThermalField(mesh, material.ms, material.alpha, material.gamma,
                          temperature, rng, self.mask)
@@ -140,7 +150,6 @@ class Simulation:
         self.m = mesh.zeros_vector()
         self.t = 0.0
         self.probes: List[Probe] = []
-        self._rhs_evaluations = 0
 
     # -- setup ------------------------------------------------------------------
 
@@ -181,37 +190,41 @@ class Simulation:
 
         Packed ``m`` ``(3, N)`` gives the packed field (into ``out`` when
         given); a canvas ``m`` gives a canvas field, zero in vacuum.
+        The exchange operator carries the folded local terms; the
+        Newell demag and the thermal noise are added to it, and the
+        Zeeman drive on the source columns only.
         """
         if self.layout.is_canvas(m):
             return self.layout.unpack(
                 self.effective_field(self.layout.pack(m), t))
         h = self.exchange.field(m, out=out)
-        if self.anisotropy is not None:
-            h += self.anisotropy.field(m)
-        if self.demag is not None:
-            h += self.demag.field(m)
-        h += self.zeeman.field(m, t)
+        for term in self._nonlocal:
+            h += term.field(m)
+        self.zeeman.field(m, t, onto=h)
         if self.thermal is not None:
             h += self.thermal.field(m)
-        self._rhs_evaluations += 1
         return h
 
     def derivative(self, alpha: Optional[np.ndarray] = None) -> RHSFunction:
         """The LLG right-hand side ``f(t, m) = dm/dt`` of packed states.
 
         ``alpha`` is a canvas damping profile (default :attr:`alpha`);
-        its LLG prefactors are fixed here, once.  The effective field
-        fills one reused buffer; each call returns a fresh array, since
-        an integrator keeps several slopes alive.
+        its LLG prefactors are fixed here, once.  The state and the
+        effective field fill two reused cyclic buffers (see
+        :func:`~repro.micromag.llg.cyclic`); each call returns a fresh
+        array, since an integrator keeps several slopes alive.
         """
         precession, damping = llg_coefficients(
             self.material.gamma,
             self.layout.pack(self.alpha if alpha is None else alpha))
-        h = np.empty((3, self.layout.n_cells))
+        m5 = np.empty((5, self.layout.n_cells))
+        h5 = np.empty_like(m5)
 
         def rhs(t: float, m: np.ndarray) -> np.ndarray:
-            return llg_rhs(m, self.effective_field(m, t, out=h),
-                           precession, damping)
+            cyclic(m, out=m5)
+            self.effective_field(m, t, out=h5[:3])
+            h5[3:] = h5[:2]
+            return llg_rhs(m5, h5, precession, damping)
         return rhs
 
     def total_energy(self) -> float:

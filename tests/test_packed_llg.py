@@ -1,13 +1,16 @@
 """The packed LLG kernels against the full-canvas update they replaced.
 
 The solver steps ``(3, N)`` arrays over the N magnetic cells
-(:class:`repro.micromag.CellLayout`).  ``_roll_exchange`` and
-``_canvas_rhs`` below are the former full-canvas ``np.roll`` exchange
-and LLG right-hand side, kept here as the reference: on random masks --
-isolated cells, one-cell-wide strips, two layers -- the packed kernels
-must reproduce them to 1e-12 of the field scale.
+(:class:`repro.micromag.CellLayout`) and evaluates the effective field
+with the local linear terms folded into one exchange operator.
+``_roll_exchange``, ``_canvas_field`` and ``_canvas_rhs`` below are the
+former full-canvas ``np.roll`` exchange and the term-by-term effective
+field and LLG right-hand side, kept here as the reference: on random
+masks -- isolated cells, one-cell-wide strips, two layers -- the packed
+kernels must reproduce them to 1e-12 of the field scale.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,12 +22,12 @@ from repro import obs
 from repro.constants import MU0
 from repro.micromag import (
     CellLayout,
+    Envelope,
     ExcitationSource,
     ExchangeField,
     Mesh,
     RK4Integrator,
     Simulation,
-    cross,
     rectangle,
 )
 from repro.physics import FECOB
@@ -52,25 +55,34 @@ def _roll_exchange(m, mask, mesh, aex, ms):
     return out
 
 
-def _canvas_rhs(sim, m, t):
-    """Full-canvas dm/dt of ``sim`` (no thermal term)."""
+def _canvas_field(sim, m, t):
+    """Full-canvas effective field of ``sim``, term by term."""
     mesh, mask, material = sim.mesh, sim.mask, sim.material
     h = _roll_exchange(m, mask, mesh, material.aex, material.ms)
     if sim.anisotropy is not None:
-        u = sim.anisotropy.axis
+        u = np.asarray(material.anisotropy_axis)
         projection = (m[0] * u[0] + m[1] * u[1] + m[2] * u[2]) * mask
         for c in range(3):
-            h[c] += sim.anisotropy._prefactor * projection * u[c]
+            h[c] += (2.0 * material.ku / (MU0 * material.ms)
+                     * projection * u[c])
     if sim.demag is not None:
         h += sim.demag.field(m * mask) * mask
     for c in range(3):
-        h[c] += sim.zeeman.static_field[c]
+        h[c] += sim.zeeman.static_field[c] * mask
     for source in sim.zeeman.sources:
-        h += source.field(mesh, t)
+        h += source.field(mesh, t) * mask
+    if sim.thermal is not None:
+        h += sim.thermal.field()
+    return h
+
+
+def _canvas_rhs(sim, m, t):
+    """Full-canvas dm/dt of ``sim``: ``P m x H + D m x (m x H)``."""
+    h = _canvas_field(sim, m, t)
     alpha = np.asarray(sim.alpha, dtype=float)
-    precession = cross(m, h)
-    damping = cross(m, precession)
-    prefactor = -material.gamma * MU0 / (1.0 + alpha ** 2)
+    precession = np.cross(m, h, axis=0)
+    damping = np.cross(m, precession, axis=0)
+    prefactor = -sim.material.gamma * MU0 / (1.0 + alpha ** 2)
     return prefactor * (precession + alpha * damping)
 
 
@@ -173,6 +185,101 @@ class TestAgainstCanvasReference:
         packed = sim.derivative()(t, sim.layout.pack(m))
         scale = max(float(np.max(np.abs(reference))), 1.0)
         assert np.max(np.abs(packed - reference)) <= REL * scale
+
+
+def _tilted_material(rng):
+    """FECOB with a random easy axis: a non-diagonal on-site tensor."""
+    axis = rng.normal(size=3)
+    return dataclasses.replace(
+        FECOB, anisotropy_axis=tuple(axis / np.linalg.norm(axis)))
+
+
+def _add_sources(sim, rng, count):
+    """``count`` sources of distinct phases, envelopes and directions."""
+    for index in range(count):
+        sim.add_source(ExcitationSource(
+            rectangle(3e-9 * index, 0, 9e-9, 12e-9), amplitude=8e3,
+            frequency=20e9, phase=rng.uniform(0, 2 * math.pi),
+            direction=tuple(rng.normal(size=3)),
+            envelope=Envelope(start=rng.uniform(0, 4e-11),
+                              rise=rng.uniform(0, 2e-11))))
+
+
+class TestFusedField:
+    """The one fused operator against the terms it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(masked_meshes(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["thin_film", "full", "none"]),
+           st.booleans(), st.integers(2, 3), st.floats(0.0, 1e-10))
+    @example((_mesh(STRIP), STRIP), 5, "thin_film", True, 2, 3e-11)
+    @example((_mesh(CHECKERBOARD), CHECKERBOARD), 6, "full", True, 3, 0.0)
+    def test_field_and_rhs(self, case, seed, demag, thermal, sources, t):
+        mesh, mask = case
+        rng = np.random.default_rng(seed)
+        sim = Simulation(mesh, _tilted_material(rng), mask=mask,
+                         demag=demag,
+                         external_field=tuple(rng.normal(0.0, 1e5, 3)),
+                         temperature=300.0 if thermal else 0.0,
+                         absorber_width=6e-9,
+                         rng=np.random.default_rng(seed))
+        _add_sources(sim, rng, sources)
+        if thermal:
+            sim.thermal.refresh(1e-14, 0)
+        m = _random_state(rng, mesh, mask)
+        packed = sim.layout.pack(m)
+
+        want = _canvas_field(sim, m, t)
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        got = sim.effective_field(packed, t)
+        assert np.max(np.abs(got - sim.layout.pack(want))) <= REL * scale
+        assert np.max(np.abs(sim.effective_field(m, t) - want)) \
+            <= REL * scale
+
+        want = sim.layout.pack(_canvas_rhs(sim, m, t))
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        got = sim.derivative()(t, packed)
+        assert np.max(np.abs(got - want)) <= REL * scale
+
+
+class TestBufferedStep:
+    @staticmethod
+    def _sim():
+        rng = np.random.default_rng(7)
+        sim = Simulation(_mesh(STRIP), _tilted_material(rng), mask=STRIP,
+                         demag="thin_film", external_field=(0, 0, 1e4))
+        _add_sources(sim, rng, 2)
+        return sim, sim.layout.pack(_random_state(rng, sim.mesh, STRIP))
+
+    def test_successive_slopes_are_distinct_arrays(self):
+        sim, m = self._sim()
+        rhs = sim.derivative()
+        first = rhs(1e-11, m)
+        kept = first.copy()
+        second = rhs(2e-11, m + 0.1 * first / np.max(np.abs(first)))
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+
+    def test_rk4_steps_match_a_reference_rk4(self):
+        sim, m = self._sim()
+        rhs = sim.derivative()
+        dt = 2e-14
+
+        def reference(t, y):
+            k1 = rhs(t, y)
+            k2 = rhs(t + dt / 2, y + dt / 2 * k1)
+            k3 = rhs(t + dt / 2, y + dt / 2 * k2)
+            k4 = rhs(t + dt, y + dt * k3)
+            new = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            return new / np.linalg.norm(new, axis=0)
+
+        integrator = RK4Integrator(rhs)
+        got, want = m, m
+        for step in range(3):  # later steps reuse the stage buffers
+            t = step * dt
+            got = integrator.step(t, got, dt)
+            want = reference(t, want)
+            assert np.max(np.abs(got - want)) <= REL
 
 
 class TestEdges:

@@ -28,8 +28,10 @@ from repro.errors import (
     SurrogateDomainError,
 )
 from repro.fdtd.scalar import ScalarWaveSimulator, WaveSource
+from repro.micromag import Mesh, Simulation
 from repro.micromag.experiments import run_gate_case
-from repro.micromag.llg import RK4Integrator
+from repro.micromag.llg import RK4Integrator, RK45Integrator
+from repro.physics import FECOB
 from repro.resilience import (
     CheckpointManager,
     CircuitBreaker,
@@ -382,6 +384,45 @@ class TestLlgResilience:
             integrator.step(2e-14, m, 1e-14)
         assert info.value.solver == "llg"
         assert "non-finite" in info.value.reason
+
+    def test_rk45_non_finite_error_raises_not_hangs(self):
+        # max(nan, 0.2) is nan: the step size would turn nan and the
+        # rejection loop never exit.  One attempt (7 stages) must do.
+        calls = []
+
+        def rhs(t, m):
+            calls.append(t)
+            return np.full_like(m, np.nan)
+
+        m = np.zeros((3, 4))
+        m[2] = 1.0
+        with pytest.raises(NumericalDivergenceError) as info:
+            RK45Integrator(rhs).step(0.0, m, 1e-13)
+        assert info.value.solver == "llg"
+        assert len(calls) == 7
+
+    def test_relax_with_injected_nan_raises(self, monkeypatch):
+        # relax() passes no watchdog: the adaptive integrator itself
+        # must stop on the poisoned state.
+        faults.install(FaultPlan(specs=[
+            FaultSpec(site="llg.step", kind="nan", at=5)]))
+        sim = Simulation(Mesh(cell_size=(5e-9, 5e-9, 1e-9),
+                              shape=(8, 8, 1)), FECOB, demag="thin_film")
+        sim.initialize((0.3, 0.1, 1.0))
+        calls = []
+        field = sim.effective_field
+
+        def counted(m, t, out=None):
+            calls.append(t)
+            return field(m, t, out=out)
+
+        monkeypatch.setattr(sim, "effective_field", counted)
+        with pytest.raises(NumericalDivergenceError) as info:
+            sim.relax(tolerance=1e-3, max_time=5e-9)
+        assert info.value.solver == "llg"
+        # Five accepted steps, a few rejections at most and one failing
+        # attempt, 7 evaluations each: nowhere near an unbounded loop.
+        assert len(calls) <= 7 * 10, len(calls)
 
 
 class TestTierDegradation:
