@@ -22,6 +22,7 @@ demodulated per cell) from which amplitude and phase maps are read.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -80,20 +81,6 @@ class WaveSource:
                    phase=math.pi if value else 0.0)
 
 
-def neighbour_sum(framed: np.ndarray,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sum of the four nearest neighbours of every interior cell.
-
-    ``framed`` is a plane with a one-cell frame, ``(ny + 2, nx + 2)``;
-    the result is ``(ny, nx)``.  A zero frame makes the edge cells see
-    zero beyond the canvas instead of the opposite edge.
-    """
-    out = np.add(framed[:-2, 1:-1], framed[2:, 1:-1], out=out)
-    out += framed[1:-1, :-2]
-    out += framed[1:-1, 2:]
-    return out
-
-
 class ScalarWaveSimulator:
     """Leapfrog FDTD for the damped 2-D wave equation on a mask.
 
@@ -130,6 +117,14 @@ class ScalarWaveSimulator:
         Optional :class:`~repro.resilience.CheckpointManager`
         persisting :meth:`state_dict` every ``every_steps`` steps;
         :meth:`restore_checkpoint` resumes from the last snapshot.
+
+    The solver steps the N mask cells only.  The field lives *packed*:
+    ``(N + 1,)`` vectors in the C order of the canvas
+    (``np.flatnonzero(mask)``, as :class:`repro.micromag.mesh.CellLayout`
+    packs), whose trailing slot stays zero and stands in for every
+    neighbour off the mask or off the canvas.  :attr:`u`,
+    :attr:`u_prev`, :meth:`state_dict` and the envelopes are
+    ``(ny, nx)`` canvases, zero off the mask, unpacked at the edge.
     """
 
     def __init__(self, mask: np.ndarray, dx: float, wavelength: float,
@@ -162,7 +157,7 @@ class ScalarWaveSimulator:
         self.speed = frequency * wavelength
         self.dt = courant * dx / self.speed
         self.sources: List[WaveSource] = []
-        self._source_cells: List[Tuple[np.ndarray, ...]] = []
+        self._source_cells: List[np.ndarray] = []
 
         gamma_bulk = 0.0 if math.isinf(damping_time) else 1.0 / damping_time
         self.gamma = np.full(mask.shape, gamma_bulk)
@@ -170,34 +165,40 @@ class ScalarWaveSimulator:
             self._add_absorbers(absorber_width, absorber_sides)
         self.gamma[~mask] = 0.0
 
-        # Both field planes live inside zero frames, so every cell has
-        # four neighbours as plain slices, and each step writes the new
-        # plane over the oldest one.
-        self._frame = np.zeros((self.ny + 2, self.nx + 2))
-        self._frame_prev = np.zeros((self.ny + 2, self.nx + 2))
-        self.u = self._frame[1:-1, 1:-1]
-        self.u_prev = self._frame_prev[1:-1, 1:-1]
-        self._scratch = np.empty(mask.shape)
+        # Packed index of every cell of a zero-framed canvas; the frame
+        # and the off-mask cells point at the zero slot N.
+        n = int(np.count_nonzero(mask))
+        index = np.full((self.ny + 2, self.nx + 2), n, dtype=np.intp)
+        index[1:-1, 1:-1][mask] = np.arange(n)
+        iy, ix = np.nonzero(mask)
+        iy += 1
+        ix += 1
+        # Neighbour table (4, N): up, down, left, right.
+        self._table = np.stack([index[iy - 1, ix], index[iy + 1, ix],
+                                index[iy, ix - 1], index[iy, ix + 1]])
+        self._n_cells = n
+        # Each step writes the new field over the oldest one.
+        self._u = np.zeros(n + 1)
+        self._u_prev = np.zeros(n + 1)
+        self._gather = np.empty((4, n))
+        self._scratch = np.empty(n)
         self.t = 0.0
         self.step_count = 0
         self.progress = progress
         self.progress_every = max(1, int(progress_every))
         self.watchdog = watchdog
         self.checkpoint = checkpoint
-        self._n_cells = int(mask.sum())
 
         # The damped leapfrog update
         #   (1 + G dt) u_new = 2 u - (1 - G dt) u_prev + (c dt / dx)^2 lap u
         # with lap u = (sum of the in-mask neighbours) - (their count) u,
-        # rewritten as u_new = cu * u + cp * u_prev + cn * neighbour_sum.
-        # The coefficients are zero off the mask, so the field stays zero
-        # there and the plain neighbour sum only ever adds in-mask cells.
-        framed_mask = np.zeros((self.ny + 2, self.nx + 2))
-        framed_mask[1:-1, 1:-1] = mask
-        n_neighbours = neighbour_sum(framed_mask)
+        # rewritten as u_new = cu * u + cp * u_prev + cn * neighbour sum.
+        # Off-mask neighbours read the zero slot, so the plain sum only
+        # ever adds in-mask cells.
+        n_neighbours = np.count_nonzero(self._table < n, axis=0)
         c2 = (self.speed * self.dt / dx) ** 2
-        damp = self.gamma * self.dt
-        scale = mask / (1.0 + damp)
+        damp = self.gamma[mask] * self.dt
+        scale = 1.0 / (1.0 + damp)
         self._coef_u = (2.0 - c2 * n_neighbours) * scale
         self._coef_prev = -(1.0 - damp) * scale
         self._coef_neighbours = c2 * scale
@@ -251,7 +252,7 @@ class ScalarWaveSimulator:
         if source.mask.shape != self.mask.shape:
             raise ValueError("source mask shape mismatch")
         self.sources.append(source)
-        self._source_cells.append(np.nonzero(source.mask & self.mask))
+        self._source_cells.append(np.flatnonzero(source.mask[self.mask]))
 
     def point_source_mask(self, x: float, y: float,
                           radius: float = None) -> np.ndarray:
@@ -265,6 +266,24 @@ class ScalarWaveSimulator:
         if not region.any():
             raise ValueError(f"source at ({x:.3g}, {y:.3g}) hits no mask cells")
         return region
+
+    # -- packed state ------------------------------------------------------------
+
+    def _unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Packed cells -> fresh ``(ny, nx)`` canvas, zero off the mask."""
+        canvas = np.zeros(self.mask.shape, dtype=packed.dtype)
+        canvas[self.mask] = packed[:self._n_cells]
+        return canvas
+
+    @property
+    def u(self) -> np.ndarray:
+        """The current field as a fresh ``(ny, nx)`` canvas."""
+        return self._unpack(self._u)
+
+    @property
+    def u_prev(self) -> np.ndarray:
+        """The previous step's field as a fresh ``(ny, nx)`` canvas."""
+        return self._unpack(self._u_prev)
 
     # -- integration ---------------------------------------------------------------
 
@@ -327,14 +346,18 @@ class ScalarWaveSimulator:
 
     def _advance(self, n_steps: int, guarded: bool = False,
                  timer: Optional[obs.PhaseTimer] = None) -> None:
-        """The leapfrog loop.
+        """The leapfrog loop on the packed cells.
 
-        Each step sums the neighbours (``stencil``), writes the damped
-        update over the oldest plane (``boundary``) and injects the
-        sources (``source``); a ``timer`` charges each phase its wall
-        time.  ``guarded`` runs :meth:`_resilience_hooks` after every
-        step.
+        Each step gathers and sums the four neighbours (``stencil``),
+        writes the damped update over the oldest field (``boundary``)
+        and injects the sources (``source``); a ``timer`` charges each
+        phase its wall time.  ``guarded`` runs :meth:`_resilience_hooks`
+        after every step.
         """
+        n = self._n_cells
+        table = self._table
+        gather = self._gather
+        up, down, left, right = gather
         coef_u = self._coef_u
         coef_prev = self._coef_prev
         coef_neighbours = self._coef_neighbours
@@ -344,22 +367,24 @@ class ScalarWaveSimulator:
         for _ in range(n_steps):
             if timer is not None:
                 t0 = timer.stamp()
-            neighbour_sum(self._frame, out=scratch)
+            np.take(self._u, table, out=gather, mode="clip")
+            np.add(up, down, out=scratch)
+            scratch += left
+            scratch += right
             if timer is not None:
                 t0 = timer.lap("stencil", t0)
-            new = self.u_prev
+            new = self._u_prev[:n]
             new *= coef_prev
             scratch *= coef_neighbours
             new += scratch
-            np.multiply(coef_u, self.u, out=scratch)
+            np.multiply(coef_u, self._u[:n], out=scratch)
             new += scratch
-            self._frame, self._frame_prev = self._frame_prev, self._frame
-            self.u, self.u_prev = new, self.u
+            self._u, self._u_prev = self._u_prev, self._u
             self.t += self.dt
             self.step_count += 1
             if timer is not None:
                 t0 = timer.lap("boundary", t0)
-            self._apply_sources(self.t, new)
+            self._apply_sources(self.t, self._u)
             if timer is not None:
                 timer.lap("source", t0)
             if heartbeat is not None and self.step_count % every == 0:
@@ -373,32 +398,51 @@ class ScalarWaveSimulator:
         if faults.active():
             spec = faults.trip("fdtd.step")
             if spec is not None and spec.kind == "nan":
-                iy, ix = np.argwhere(self.mask)[0]
-                self.u[iy, ix] = np.nan
+                # The first mask cell in C order.
+                self._u[0] = np.nan
         if self.watchdog is not None:
-            self.watchdog.observe(self.t, step=self.step_count, u=self.u)
+            self.watchdog.observe(self.t, step=self.step_count,
+                                  u=self._u[:self._n_cells])
         if self.checkpoint is not None:
             self.checkpoint.maybe_save(self.step_count, self.state_dict)
 
     # -- checkpoint/resume ---------------------------------------------------
 
+    def _mask_digest(self) -> str:
+        """SHA-256 of the geometry mask, naming it in checkpoints."""
+        return hashlib.sha256(np.packbits(self.mask).tobytes()).hexdigest()
+
     def state_dict(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
         """Solver state in :class:`CheckpointManager` format: the two
-        leapfrog field planes plus scalar bookkeeping."""
+        leapfrog field planes plus scalar bookkeeping and the geometry
+        they belong to."""
         return ({"u": self.u, "u_prev": self.u_prev},
                 {"solver": "fdtd", "t": self.t,
                  "step_count": self.step_count,
-                 "shape": [self.ny, self.nx]})
+                 "shape": [self.ny, self.nx],
+                 "cells": self._n_cells,
+                 "mask_sha256": self._mask_digest()})
 
     def load_state(self, arrays: Dict[str, np.ndarray],
                    meta: Dict[str, Any]) -> None:
-        """Restore a :meth:`state_dict` snapshot (shape-checked)."""
+        """Restore a :meth:`state_dict` snapshot.
+
+        The grid shape, the cell count and the mask digest must all
+        match: a snapshot of another geometry raises
+        :class:`CheckpointError` instead of resuming on the wrong cells.
+        """
         if tuple(meta.get("shape", ())) != (self.ny, self.nx):
             raise CheckpointError(
                 f"checkpoint grid {meta.get('shape')} does not match "
                 f"simulator grid {[self.ny, self.nx]}")
-        self.u[...] = arrays["u"]
-        self.u_prev[...] = arrays["u_prev"]
+        if (meta.get("cells") != self._n_cells
+                or meta.get("mask_sha256") != self._mask_digest()):
+            raise CheckpointError(
+                f"checkpoint geometry ({meta.get('cells')} cells) does not "
+                f"match the simulator mask ({self._n_cells} cells)")
+        n = self._n_cells
+        self._u[:n] = arrays["u"][self.mask]
+        self._u_prev[:n] = arrays["u_prev"][self.mask]
         self.t = float(meta["t"])
         self.step_count = int(meta["step_count"])
 
@@ -442,21 +486,22 @@ class ScalarWaveSimulator:
         omega = 2.0 * math.pi * self.frequency
         steps_per_period = max(8, int(round(1.0 / (self.frequency * self.dt))))
         n_samples = n_periods * steps_per_period
-        acc = np.zeros(self.mask.shape, dtype=complex)
+        n = self._n_cells
+        acc = np.zeros(n, dtype=complex)
         # The lock-in accumulation is the "detector readout" phase of
         # the profile; stepping itself is charged by step().
         timer = obs.PhaseTimer("fdtd") if obs.enabled() else None
         for _ in range(n_samples):
             self.step(1)
             if timer is None:
-                acc += self.u * np.exp(-1j * omega * self.t)
+                acc += self._u[:n] * np.exp(-1j * omega * self.t)
             else:
                 t0 = timer.stamp()
-                acc += self.u * np.exp(-1j * omega * self.t)
+                acc += self._u[:n] * np.exp(-1j * omega * self.t)
                 timer.lap("detector", t0)
         if timer is not None:
             timer.flush()
-        return 2.0 * acc / n_samples
+        return self._unpack(2.0 * acc / n_samples)
 
     def amplitude_map(self, envelope: np.ndarray = None) -> np.ndarray:
         """|envelope| (computes a fresh envelope when not supplied)."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fdtd import ScalarWaveSimulator, WaveSource, run_steady_state
 
@@ -140,9 +142,63 @@ class TestInterference:
             sim.region_envelope(np.zeros(sim.mask.shape, dtype=bool), env)
 
 
+def _reference_sources(sim, t, u):
+    """The drives at time ``t``, from the public :class:`WaveSource`
+    fields alone: a 3-period raised-cosine turn-on, then soft sources
+    add ``dt^2 omega^2`` times the drive and hard sources clamp to it,
+    on the source cells that lie on the mask.  The arithmetic runs in
+    the documented order, so a kernel that keeps it matches bit for
+    bit."""
+    omega = 2.0 * math.pi * sim.frequency
+    for src in sim.sources:
+        if not src.start <= t <= src.stop:
+            continue
+        ramp = min(1.0, (t - src.start) / (3.0 / sim.frequency))
+        ramp = 0.5 * (1.0 - math.cos(math.pi * ramp))
+        value = src.amplitude * ramp * math.cos(omega * t + src.phase)
+        cells = src.mask & sim.mask
+        if src.hard:
+            u[cells] = value
+        else:
+            u[cells] += sim.dt * sim.dt * omega * omega * value
+
+
+def _framed_leapfrog(sim, n_steps):
+    """The full-canvas kernel the packed one replaced, in its operation
+    order: zero-framed planes, the neighbour sum
+    ``((up + down) + left) + right``, then
+    ``(cp * u_prev + cn * sum) + cu * u`` with canvas coefficients that
+    vanish off the mask."""
+    mask = sim.mask
+    ny, nx = mask.shape
+
+    def neighbours(framed):
+        return (((framed[:-2, 1:-1] + framed[2:, 1:-1]) + framed[1:-1, :-2])
+                + framed[1:-1, 2:])
+
+    framed_mask = np.zeros((ny + 2, nx + 2))
+    framed_mask[1:-1, 1:-1] = mask
+    c2 = (sim.speed * sim.dt / sim.dx) ** 2
+    damp = sim.gamma * sim.dt
+    scale = mask / (1.0 + damp)
+    cu = (2.0 - c2 * neighbours(framed_mask)) * scale
+    cp = -(1.0 - damp) * scale
+    cn = c2 * scale
+    u, u_prev, t = np.zeros((ny + 2, nx + 2)), np.zeros((ny + 2, nx + 2)), 0.0
+    for _ in range(n_steps):
+        new = np.zeros_like(u)
+        new[1:-1, 1:-1] = (u_prev[1:-1, 1:-1] * cp + neighbours(u) * cn
+                           + cu * u[1:-1, 1:-1])
+        u_prev, u = u, new
+        t += sim.dt
+        _reference_sources(sim, t, u[1:-1, 1:-1])
+    return u[1:-1, 1:-1], u_prev[1:-1, 1:-1]
+
+
 def _reference_leapfrog(sim, n_steps):
     """The masked-roll leapfrog update the kernel replaced, kept as the
-    reference: explicit in-mask neighbour masks, per-step damping."""
+    reference: explicit in-mask neighbour masks, per-step damping, on
+    its own ``(ny, nx)`` canvas."""
     mask = sim.mask
     shifted = {}
     for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
@@ -162,8 +218,45 @@ def _reference_leapfrog(sim, n_steps):
         new *= mask
         u_prev, u = u, new
         t += sim.dt
-        sim._apply_sources(t, u)
+        _reference_sources(sim, t, u)
     return u, u_prev
+
+
+@st.composite
+def _masks_and_sources(draw):
+    """A random geometry with a one-cell-wide guide, cells on the four
+    canvas edges and (placed last) an isolated cell, plus 1-3 hard or
+    soft sources."""
+    ny = draw(st.integers(5, 14))
+    nx = draw(st.integers(5, 14))
+    bits = draw(st.lists(st.booleans(), min_size=ny * nx,
+                         max_size=ny * nx))
+    mask = np.array(bits, dtype=bool).reshape(ny, nx)
+    row = draw(st.integers(0, ny - 1))
+    mask[max(row - 1, 0):row + 2, :] = False
+    mask[row, :] = True
+    mask[0, draw(st.integers(0, nx - 1))] = True
+    mask[-1, draw(st.integers(0, nx - 1))] = True
+    mask[draw(st.integers(0, ny - 1)), 0] = True
+    mask[draw(st.integers(0, ny - 1)), -1] = True
+    iy, ix = draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1))
+    mask[max(iy - 1, 0):iy + 2, max(ix - 1, 0):ix + 2] = False
+    mask[iy, ix] = True
+    sides = tuple(side for side in ("left", "right", "top", "bottom")
+                  if draw(st.booleans()))
+    sources = []
+    for _ in range(draw(st.integers(1, 3))):
+        region = np.array(draw(st.lists(st.booleans(), min_size=ny * nx,
+                                        max_size=ny * nx)),
+                          dtype=bool).reshape(ny, nx)
+        region[draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1))] \
+            = True
+        sources.append(WaveSource(
+            mask=region, hard=draw(st.booleans()),
+            amplitude=draw(st.floats(0.1, 10.0)),
+            phase=draw(st.floats(-math.pi, math.pi)),
+            start=draw(st.sampled_from([0.0, 5e-12, 2e-11]))))
+    return mask, sides, sources
 
 
 class TestKernel:
@@ -187,6 +280,36 @@ class TestKernel:
         scale = np.max(np.abs(ref_u))
         assert np.max(np.abs(sim.u - ref_u)) <= 1e-12 * scale
         assert np.max(np.abs(sim.u_prev - ref_prev)) <= 1e-12 * scale
+
+    def test_bit_identical_to_the_full_canvas_kernel(self):
+        # Same operands, same operation order: the zero slot stands in
+        # for the zero field off the mask, so nothing rounds apart.
+        sim = self._driven()
+        ref_u, ref_prev = _framed_leapfrog(self._driven(), 600)
+        sim.step(600)
+        np.testing.assert_array_equal(sim.u, ref_u)
+        np.testing.assert_array_equal(sim.u_prev, ref_prev)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_masks_and_sources(), st.booleans())
+    def test_packed_kernel_matches_canvas_reference(self, case, absorb):
+        # Random geometries: cells on every canvas edge, one-cell
+        # guides, isolated cells, absorbers, hard and soft sources.
+        mask, sides, sources = case
+        sim = ScalarWaveSimulator(mask, 5e-9, 55e-9, 10e9,
+                                  damping_time=2e-9,
+                                  absorber_width=15e-9 if absorb else 0.0,
+                                  absorber_sides=sides)
+        for source in sources:
+            sim.add_source(source)
+        ref_u, ref_prev = _reference_leapfrog(sim, 80)
+        sim.step(30)
+        sim.step(50)
+        scale = max(np.max(np.abs(ref_u)), np.max(np.abs(ref_prev)))
+        assert np.max(np.abs(sim.u - ref_u)) <= 1e-12 * scale
+        assert np.max(np.abs(sim.u_prev - ref_prev)) <= 1e-12 * scale
+        assert np.all(sim.u[~mask] == 0.0)
+        assert np.all(sim.u_prev[~mask] == 0.0)
 
     def test_profiled_and_guarded_runs_are_bit_identical(self):
         from repro import obs

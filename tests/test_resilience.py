@@ -331,6 +331,25 @@ class TestFdtdResilience:
         assert exc.step == 10  # first health check after the hit-5 NaN
         assert exc.diagnostics["nonfinite_cells"] >= 1
 
+    def test_injected_nan_hits_the_first_mask_cell(self):
+        faults.install(FaultPlan(specs=[
+            FaultSpec(site="fdtd.step", kind="nan", at=3)]))
+        sim = _make_fdtd()
+        sim.step(3)
+        poisoned = np.isnan(sim.u)
+        assert np.count_nonzero(poisoned) == 1
+        assert np.flatnonzero(poisoned)[0] == np.flatnonzero(sim.mask)[0]
+
+    def test_watchdog_checks_the_mask_cells(self):
+        faults.install(FaultPlan(specs=[
+            FaultSpec(site="fdtd.step", kind="nan", at=5)]))
+        sim = _make_fdtd(watchdog=FieldWatchdog(every=10))
+        with pytest.raises(NumericalDivergenceError) as info:
+            sim.step(50)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["checked_cells"] == int(sim.mask.sum()) == 96
+        assert 1 <= diagnostics["nonfinite_cells"] <= 96
+
     def test_checkpoint_resume_is_bit_identical(self, tmp_path):
         path = str(tmp_path / "wave.npz")
         first = _make_fdtd(checkpoint=CheckpointManager(path,
@@ -365,6 +384,30 @@ class TestFdtdResilience:
                         {"t": 0.0, "step_count": 1, "shape": [2, 2]})
         sim = _make_fdtd(checkpoint=CheckpointManager(path))
         with pytest.raises(CheckpointError, match="does not match"):
+            sim.restore_checkpoint()
+
+
+    def test_other_geometry_of_the_same_shape_rejected(self, tmp_path):
+        # Same grid, same cell count, guide shifted by one row: only
+        # the mask digest tells the snapshots apart.
+        path = str(tmp_path / "wave.npz")
+        _make_fdtd(checkpoint=CheckpointManager(path, every_steps=10)
+                   ).step(10)
+        mask = np.zeros((24, 24), dtype=bool)
+        mask[11:15, :] = True
+        other = ScalarWaveSimulator(mask=mask, dx=10e-9,
+                                    wavelength=110e-9, frequency=2.282e9,
+                                    checkpoint=CheckpointManager(path))
+        with pytest.raises(CheckpointError, match="geometry"):
+            other.restore_checkpoint()
+
+    def test_checkpoint_without_geometry_rejected(self, tmp_path):
+        path = str(tmp_path / "bare.npz")
+        save_checkpoint(path, {"u": np.zeros((24, 24)),
+                               "u_prev": np.zeros((24, 24))},
+                        {"t": 0.0, "step_count": 1, "shape": [24, 24]})
+        sim = _make_fdtd(checkpoint=CheckpointManager(path))
+        with pytest.raises(CheckpointError, match="geometry"):
             sim.restore_checkpoint()
 
 
