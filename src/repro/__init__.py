@@ -46,10 +46,19 @@ Subpackages
     single-flight request coalescing, micro-batching, bounded-queue +
     token-bucket backpressure (429), Prometheus ``/metrics``, JSONL
     access logs and graceful drain.  ``python -m repro serve`` runs
-    one; ``repro.serve.ServeClient`` talks to it.  Imported lazily --
-    ``import repro`` stays service-free.
+    one; ``repro.serve.ServeClient`` talks to it.
 ``repro.io`` / ``repro.viz``
     OVF interchange, ASCII tables, field-map rendering.
+
+Imports
+-------
+Every import here is lazy.  ``import repro`` runs only this module and
+``repro._lazy``; each name in ``__all__`` (gates, detectors,
+materials, engine classes, ``errors`` and ``obs``) imports its
+module on first use, and every subpackage except ``repro.obs`` (read
+on solver hot paths) re-exports its own names the same way.
+``import repro.core.gates`` therefore loads the gates and what they
+import, not the ladder baseline, the service or the cluster.
 
 Quickstart
 ----------
@@ -66,34 +75,22 @@ import logging as _logging
 # (via logging config or ``repro.obs.setup_logging``).
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-from .core import (  # noqa: E402
-    DerivedTriangleGate,
-    GateResult,
-    LadderMajorityGate,
-    LadderXorGate,
-    PhaseDetector,
-    ThresholdDetector,
-    TriangleMajorityGate,
-    TriangleXorGate,
-    paper_maj3_dimensions,
-    paper_table_i_gate,
-    paper_table_ii_gate,
-    paper_xor_dimensions,
-)
-from .physics import FECOB, DispersionRelation, FilmStack, Material, Wave
-
 __version__ = "1.0.0"
 
-from . import errors  # noqa: E402
-from . import obs  # noqa: E402
-from .runtime import (  # noqa: E402 -- needs __version__ for the key salt
-    DiskCache,
-    Executor,
-    JobSpec,
-    MemoryCache,
-    ResultCache,
-    RunReport,
-)
+from ._lazy import lazy_exports  # noqa: E402
+
+lazy_exports(__name__, {
+    ".core": (
+        "DerivedTriangleGate", "GateResult", "LadderMajorityGate",
+        "LadderXorGate", "PhaseDetector", "ThresholdDetector",
+        "TriangleMajorityGate", "TriangleXorGate", "paper_maj3_dimensions",
+        "paper_table_i_gate", "paper_table_ii_gate", "paper_xor_dimensions",
+    ),
+    ".physics": ("FECOB", "DispersionRelation", "FilmStack", "Material",
+                 "Wave"),
+    ".runtime": ("DiskCache", "Executor", "JobSpec", "MemoryCache",
+                 "ResultCache", "RunReport"),
+})
 
 __all__ = [
     "DerivedTriangleGate",

@@ -1,21 +1,26 @@
 """Circuit layer: netlists, components and simulation over the gates."""
 
-from .netlist import GATE_PORT_COUNTS, TRIANGLE_FAN_OUT, GateInstance, Netlist
-from .components import DirectionalCoupler, Repeater, fanout_chain
-from .simulator import CascadeSimulator, CircuitReport, CircuitSimulator
-from .cascade import CascadeAnalyzer, CascadeReport, StageModel, triangle_stage_model
-from .hamming import (
-    hamming74_corrector_netlist,
-    hamming74_decode,
-    hamming74_encode,
-    hamming74_encoder_netlist,
-)
-from .synthesis import (
-    full_adder_netlist,
-    majority_tree_netlist,
-    parity_chain_netlist,
-    ripple_carry_adder_netlist,
-)
+from .._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    ".netlist": (
+        "GATE_PORT_COUNTS", "TRIANGLE_FAN_OUT", "GateInstance", "Netlist",
+    ),
+    ".components": ("DirectionalCoupler", "Repeater", "fanout_chain"),
+    ".simulator": ("CascadeSimulator", "CircuitReport", "CircuitSimulator"),
+    ".cascade": (
+        "CascadeAnalyzer", "CascadeReport", "StageModel",
+        "triangle_stage_model",
+    ),
+    ".hamming": (
+        "hamming74_corrector_netlist", "hamming74_decode", "hamming74_encode",
+        "hamming74_encoder_netlist",
+    ),
+    ".synthesis": (
+        "full_adder_netlist", "majority_tree_netlist", "parity_chain_netlist",
+        "ripple_carry_adder_netlist",
+    ),
+})
 
 __all__ = [
     "GATE_PORT_COUNTS",

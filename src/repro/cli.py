@@ -168,6 +168,8 @@ def _build_tls(args: argparse.Namespace):
     :class:`~repro.errors.ClusterConfigError` on a partial pair or
     missing PEM files (callers map it to exit code 2).
     """
+    if not (args.tls_cert or args.tls_key or args.tls_ca):
+        return None  # without loading the cluster's socket/ssl stack
     from .cluster import tls_config
 
     return tls_config(cert=args.tls_cert, key=args.tls_key, ca=args.tls_ca)
@@ -313,7 +315,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from . import obs
-    from .micromag.experiments import GATE_ARITY, run_gate_case
+    from .defaults import GATE_ARITY
+    from .micromag.experiments import run_gate_case
 
     arity = GATE_ARITY[args.gate]
     bits_text = args.bits if args.bits is not None else "1" * arity
@@ -680,7 +683,7 @@ def _add_flags(parser: argparse.ArgumentParser, rows) -> None:
 def _shared_flags():
     """argparse parents for the flags several subcommands share:
     ``(engine, cache, cluster)``."""
-    from .runtime.cache import DEFAULT_CACHE_ROOT
+    from .defaults import DEFAULT_CACHE_ROOT
 
     # The global engine flags, accepted after the subcommand too
     # (``sweep maj3 --no-cache``); SUPPRESS keeps the subparser from
@@ -710,8 +713,7 @@ def _shared_flags():
 
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
-    from .micromag.experiments import GATE_ARITY, TIERS
-    from .serve.app import ServeConfig
+    from .defaults import GATE_ARITY, TIERS, ServeConfig
 
     parser = argparse.ArgumentParser(
         prog="repro",

@@ -33,24 +33,19 @@ Quickstart (three shells)::
         --backend tcp://127.0.0.1:7421
 """
 
-from .backend import ClusterClient, TcpClusterBackend
-from .coordinator import Coordinator
-from .protocol import (
-    DEV_SECRET,
-    SECRET_ENV,
-    TlsConfig,
-    decode_value,
-    encode_value,
-    parse_url,
-    recv_frame,
-    recv_message,
-    resolve_secret,
-    send_frame,
-    send_message,
-    tls_config,
-)
-from .supervise import run_supervised, serve_coordinator
-from .worker import Worker, run_worker
+from .._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    ".backend": ("ClusterClient", "TcpClusterBackend"),
+    ".coordinator": ("Coordinator",),
+    ".protocol": (
+        "DEV_SECRET", "SECRET_ENV", "TlsConfig", "decode_value",
+        "encode_value", "parse_url", "recv_frame", "recv_message",
+        "resolve_secret", "send_frame", "send_message", "tls_config",
+    ),
+    ".supervise": ("run_supervised", "serve_coordinator"),
+    ".worker": ("Worker", "run_worker"),
+})
 
 __all__ = [
     "ClusterClient",

@@ -24,30 +24,25 @@ Entry points: :func:`compile_spec` in Python,
 :func:`compile_job`).
 """
 
-from .api import (
-    CompileResult,
-    compile_job,
-    compile_spec,
-    netlist_from_dict,
-    netlist_to_dict,
-)
-from .characterize import (
-    CharacterizationReport,
-    characterize,
-    measure_error_rates,
-    verify_functional,
-    write_report,
-)
-from .drc import DesignRules, DRCReport, check as run_drc
-from .place import PlacedGate, Placement, Wire, place
-from .spec import (
-    BUILTIN_SPECS,
-    MAX_INPUTS,
-    CircuitSpec,
-    load_spec,
-    parse_expression,
-)
-from .synth import minimal_sop, synthesize, table_to_ast
+from .._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    ".api": (
+        "CompileResult", "compile_job", "compile_spec", "netlist_from_dict",
+        "netlist_to_dict",
+    ),
+    ".characterize": (
+        "CharacterizationReport", "characterize", "measure_error_rates",
+        "verify_functional", "write_report",
+    ),
+    ".drc": ("DesignRules", "DRCReport", ("run_drc", "check")),
+    ".place": ("PlacedGate", "Placement", "Wire", "place"),
+    ".spec": (
+        "BUILTIN_SPECS", "MAX_INPUTS", "CircuitSpec", "load_spec",
+        "parse_expression",
+    ),
+    ".synth": ("minimal_sop", "synthesize", "table_to_ast"),
+})
 
 __all__ = [
     "BUILTIN_SPECS",

@@ -1,11 +1,13 @@
 """Fast linear-wave tier: 2-D damped scalar FDTD on gate geometry masks."""
 
-from .scalar import ScalarWaveSimulator, WaveSource, run_steady_state
-from .calibration import (
-    CalibrationResult,
-    calibrate_wavelength,
-    measure_guide_wavelength,
-)
+from .._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    ".scalar": ("ScalarWaveSimulator", "WaveSource", "run_steady_state"),
+    ".calibration": (
+        "CalibrationResult", "calibrate_wavelength", "measure_guide_wavelength",
+    ),
+})
 
 __all__ = [
     "ScalarWaveSimulator",

@@ -22,7 +22,6 @@ demodulated per cell) from which amplitude and phase maps are read.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -33,8 +32,29 @@ import numpy as np
 from .. import obs
 from ..errors import CheckpointError
 from ..resilience import faults
-from ..resilience.checkpoint import CheckpointManager
+from ..resilience.checkpoint import (
+    CheckpointManager,
+    check_geometry,
+    geometry_meta,
+)
 from ..resilience.guardrails import Watchdog
+
+
+#: Byte alignment of the step loop's packed vectors.  NumPy only
+#: guarantees 16; where malloc happens to place a vector then decides
+#: whether the SIMD loops split cache lines, which moved a cold XOR
+#: sweep by 10-20 % on x86-64 between two heap layouts.
+_ALIGN = 64
+
+
+def _aligned(values: np.ndarray) -> np.ndarray:
+    """A copy of ``values`` that starts on an ``_ALIGN``-byte boundary."""
+    buffer = np.empty(values.nbytes + _ALIGN, dtype=np.uint8)
+    start = -buffer.ctypes.data % _ALIGN
+    out = buffer[start:start + values.nbytes].view(values.dtype)
+    out = out.reshape(values.shape)
+    out[...] = values
+    return out
 
 
 @dataclass
@@ -174,14 +194,16 @@ class ScalarWaveSimulator:
         iy += 1
         ix += 1
         # Neighbour table (4, N): up, down, left, right.
-        self._table = np.stack([index[iy - 1, ix], index[iy + 1, ix],
-                                index[iy, ix - 1], index[iy, ix + 1]])
+        self._table = _aligned(np.stack([index[iy - 1, ix],
+                                         index[iy + 1, ix],
+                                         index[iy, ix - 1],
+                                         index[iy, ix + 1]]))
         self._n_cells = n
         # Each step writes the new field over the oldest one.
-        self._u = np.zeros(n + 1)
-        self._u_prev = np.zeros(n + 1)
-        self._gather = np.empty((4, n))
-        self._scratch = np.empty(n)
+        self._u = _aligned(np.zeros(n + 1))
+        self._u_prev = _aligned(np.zeros(n + 1))
+        self._gather = _aligned(np.zeros((4, n)))
+        self._scratch = _aligned(np.zeros(n))
         self.t = 0.0
         self.step_count = 0
         self.progress = progress
@@ -199,9 +221,9 @@ class ScalarWaveSimulator:
         c2 = (self.speed * self.dt / dx) ** 2
         damp = self.gamma[mask] * self.dt
         scale = 1.0 / (1.0 + damp)
-        self._coef_u = (2.0 - c2 * n_neighbours) * scale
-        self._coef_prev = -(1.0 - damp) * scale
-        self._coef_neighbours = c2 * scale
+        self._coef_u = _aligned((2.0 - c2 * n_neighbours) * scale)
+        self._coef_prev = _aligned(-(1.0 - damp) * scale)
+        self._coef_neighbours = _aligned(c2 * scale)
 
     # -- construction helpers -----------------------------------------------------
 
@@ -408,10 +430,6 @@ class ScalarWaveSimulator:
 
     # -- checkpoint/resume ---------------------------------------------------
 
-    def _mask_digest(self) -> str:
-        """SHA-256 of the geometry mask, naming it in checkpoints."""
-        return hashlib.sha256(np.packbits(self.mask).tobytes()).hexdigest()
-
     def state_dict(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
         """Solver state in :class:`CheckpointManager` format: the two
         leapfrog field planes plus scalar bookkeeping and the geometry
@@ -420,8 +438,7 @@ class ScalarWaveSimulator:
                 {"solver": "fdtd", "t": self.t,
                  "step_count": self.step_count,
                  "shape": [self.ny, self.nx],
-                 "cells": self._n_cells,
-                 "mask_sha256": self._mask_digest()})
+                 **geometry_meta(self.mask)})
 
     def load_state(self, arrays: Dict[str, np.ndarray],
                    meta: Dict[str, Any]) -> None:
@@ -435,11 +452,7 @@ class ScalarWaveSimulator:
             raise CheckpointError(
                 f"checkpoint grid {meta.get('shape')} does not match "
                 f"simulator grid {[self.ny, self.nx]}")
-        if (meta.get("cells") != self._n_cells
-                or meta.get("mask_sha256") != self._mask_digest()):
-            raise CheckpointError(
-                f"checkpoint geometry ({meta.get('cells')} cells) does not "
-                f"match the simulator mask ({self._n_cells} cells)")
+        check_geometry(meta, self.mask)
         n = self._n_cells
         self._u[:n] = arrays["u"][self.mask]
         self._u_prev[:n] = arrays["u_prev"][self.mask]

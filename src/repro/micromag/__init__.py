@@ -6,58 +6,36 @@ thin-film local), uniaxial anisotropy, Zeeman + local excitation fields
 and an optional stochastic thermal term.
 """
 
-from .mesh import CellLayout, Mesh, mesh_for_region, normalize_field
-from .geometry import (
-    difference,
-    disk,
-    edge_damping_profile,
-    intersection,
-    polygon,
-    rasterize,
-    rectangle,
-    roughen_edges,
-    strip,
-    union,
-)
-from .fields import (
-    DemagField,
-    ExchangeField,
-    ThermalField,
-    ThinFilmDemagField,
-    UniaxialAnisotropyField,
-    ZeemanField,
-    demag_tensor,
-    rng_from_key,
-    seed_from_key,
-)
-from .llg import (
-    HeunIntegrator,
-    RK4Integrator,
-    RK45Integrator,
-    cross,
-    llg_coefficients,
-    llg_rhs,
-)
-from .excitation import Envelope, ExcitationSource
-from .probes import Probe, TimeTrace
-from .sim import RunResult, Simulation
-from .analysis import (
-    DispersionMap,
-    centerline_signal,
-    dominant_frequency,
-    precession_amplitude_map,
-    ringdown_spectrum,
-    space_time_fft,
-)
-from .minimize import MinimizeResult, minimize
-from .experiments import (
-    DispersionExperiment,
-    GateSweep,
-    SincSource,
-    extract_dispersion,
-    run_gate_case,
-    sweep_gate_truth_table,
-)
+from .._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    ".mesh": ("CellLayout", "Mesh", "mesh_for_region", "normalize_field"),
+    ".geometry": (
+        "difference", "disk", "edge_damping_profile", "intersection",
+        "polygon", "rasterize", "rectangle", "roughen_edges", "strip", "union",
+    ),
+    ".fields": (
+        "DemagField", "ExchangeField", "ThermalField", "ThinFilmDemagField",
+        "UniaxialAnisotropyField", "ZeemanField", "demag_tensor",
+        "rng_from_key", "seed_from_key",
+    ),
+    ".llg": (
+        "HeunIntegrator", "RK4Integrator", "RK45Integrator", "cross",
+        "llg_coefficients", "llg_rhs",
+    ),
+    ".excitation": ("Envelope", "ExcitationSource"),
+    ".probes": ("Probe", "TimeTrace"),
+    ".sim": ("RunResult", "Simulation"),
+    ".analysis": (
+        "DispersionMap", "centerline_signal", "dominant_frequency",
+        "precession_amplitude_map", "ringdown_spectrum", "space_time_fft",
+    ),
+    ".minimize": ("MinimizeResult", "minimize"),
+    ".experiments": (
+        "DispersionExperiment", "GateSweep", "SincSource",
+        "extract_dispersion", "run_gate_case", "sweep_gate_truth_table",
+    ),
+})
 
 __all__ = [
     "CellLayout",

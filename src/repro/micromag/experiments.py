@@ -28,8 +28,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
+from ..defaults import GATE_ARITY, TIER_LADDERS, TIERS
 from ..physics.dispersion import DispersionRelation, FilmStack
 from ..physics.materials import Material
+from ..runtime.executor import Executor
+from ..runtime.spec import JobSpec
 from .analysis import DispersionMap, space_time_fft
 from .excitation import Envelope, ExcitationSource
 from .geometry import rectangle
@@ -155,22 +158,6 @@ def extract_dispersion(material: Material,
 
 # -- truth-table sweeps through the orchestration engine --------------------
 
-GATE_ARITY = {"maj3": 3, "xor": 2}
-
-#: Degradation ladders per starting tier, whose keys are the tiers a
-#: gate case can start on: each entry is walked left to right until a
-#: rung answers.  The surrogate's ladder falls through the network tier
-#: (the source its fits were characterized from) and on to FDTD, so
-#: even a chaos drill knocking out both instant tiers still produces a
-#: physically-grounded answer.
-_TIER_LADDERS = {
-    "surrogate": ("surrogate", "network", "fdtd"),
-    "network": ("network",),
-    "fdtd": ("fdtd", "network"),
-    "llg": ("llg", "fdtd", "network"),
-}
-TIERS = tuple(_TIER_LADDERS)
-
 #: Characterization axes only the surrogate tier models.  The physical
 #: tiers refuse nonzero values; a surrogate request that falls back to
 #: the network tier drops them and gets the nominal case.
@@ -239,7 +226,7 @@ def check_gate_case(case: Mapping[str, Any]) -> int:
     gate = case.get("gate")
     arity = gate_arity(gate)
     tier = case.get("tier", "network")
-    if not isinstance(tier, str) or tier not in _TIER_LADDERS:
+    if not isinstance(tier, str) or tier not in TIER_LADDERS:
         raise ValueError(f"unknown tier {tier!r}; choose from {list(TIERS)}")
     if "bits" in case:
         bits = case["bits"]
@@ -352,7 +339,7 @@ def run_gate_case(gate: str, bits: Sequence[int], tier: str = "network",
 
     with obs.span("gate_case", gate=gate, tier=tier,
                   bits="".join(map(str, bits))):
-        ladder = _TIER_LADDERS[tier]
+        ladder = TIER_LADDERS[tier]
         rung = 0
         failed: Dict[str, Exception] = {}  # tier -> why it failed
         while True:
@@ -703,7 +690,6 @@ def sweep_gate_truth_table(gate: str = "maj3", tier: str = "network",
         runs, on every tier.
     """
     from ..core.logic import input_patterns
-    from ..runtime import Executor, JobSpec
 
     if calibrated is None:
         calibrated = tier == "network"

@@ -4,11 +4,18 @@
 -- exactly the decomposition below eq. (1) of the paper.
 """
 
-from .exchange import ExchangeField
-from .anisotropy import UniaxialAnisotropyField
-from .zeeman import ZeemanField
-from .demag import DemagField, ThinFilmDemagField, demag_tensor, newell_f, newell_g
-from .thermal import ThermalField, rng_from_key, seed_from_key
+from ..._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    ".exchange": ("ExchangeField",),
+    ".anisotropy": ("UniaxialAnisotropyField",),
+    ".zeeman": ("ZeemanField",),
+    ".demag": (
+        "DemagField", "ThinFilmDemagField", "demag_tensor", "newell_f",
+        "newell_g",
+    ),
+    ".thermal": ("ThermalField", "rng_from_key", "seed_from_key"),
+})
 
 __all__ = [
     "ExchangeField",

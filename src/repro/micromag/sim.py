@@ -30,7 +30,11 @@ import numpy as np
 
 from ..errors import CheckpointError
 from ..physics.materials import Material
-from ..resilience.checkpoint import CheckpointManager
+from ..resilience.checkpoint import (
+    CheckpointManager,
+    check_geometry,
+    geometry_meta,
+)
 from ..resilience.guardrails import Watchdog
 from .fields.anisotropy import UniaxialAnisotropyField
 from .fields.demag import DemagField, ThinFilmDemagField
@@ -314,18 +318,27 @@ class Simulation:
     # -- checkpoint/resume ----------------------------------------------------------
 
     def state_dict(self) -> Tuple[Dict[str, np.ndarray], Dict[str, float]]:
-        """Solver state in :class:`CheckpointManager` format."""
+        """Solver state in :class:`CheckpointManager` format: the
+        magnetisation plus the time and the geometry it belongs to."""
         return ({"m": self.m},
                 {"solver": "llg", "t": self.t,
-                 "shape": list(self.mesh.field_shape)})
+                 "shape": list(self.mesh.field_shape),
+                 **geometry_meta(self.mask)})
 
     def load_state(self, arrays: Dict[str, np.ndarray],
                    meta: Dict[str, float]) -> None:
-        """Restore a :meth:`state_dict` snapshot (shape-checked)."""
+        """Restore a :meth:`state_dict` snapshot.
+
+        The field shape, the cell count and the mask digest must all
+        match: a snapshot of another geometry on the same mesh raises
+        :class:`CheckpointError` instead of leaving the cells that were
+        vacuum in it at m = 0, where they never precess.
+        """
         if tuple(meta.get("shape", ())) != tuple(self.mesh.field_shape):
             raise CheckpointError(
                 f"checkpoint field shape {meta.get('shape')} does not "
                 f"match mesh field shape {list(self.mesh.field_shape)}")
+        check_geometry(meta, self.mask)
         self.m = np.array(arrays["m"], dtype=float)
         self.t = float(meta["t"])
 

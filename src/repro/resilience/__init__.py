@@ -23,34 +23,26 @@ All ``resilience.*`` metrics flow through :mod:`repro.obs` and show up
 in ``/metrics`` and ``metrics_snapshot()`` like any other counter.
 """
 
-from ..errors import (
-    CacheCorrupt,
-    CheckpointError,
-    CircuitOpen,
-    FaultInjected,
-    NumericalDivergenceError,
-    ReproError,
-)
-from .checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
-from .circuit import CircuitBreaker
-from .faults import (
-    FaultPlan,
-    FaultSpec,
-    active,
-    install,
-    install_from_env,
-    trip,
-    uninstall,
-)
-from .guardrails import (
-    FieldWatchdog,
-    MagnetisationWatchdog,
-    RemediationPolicy,
-    Watchdog,
-    run_with_dt_remediation,
-)
-from .journal import JobJournal, JournalState, read_journal
-from .supervisor import ProcessSupervisor
+from .._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "..errors": (
+        "CacheCorrupt", "CheckpointError", "CircuitOpen", "FaultInjected",
+        "NumericalDivergenceError", "ReproError",
+    ),
+    ".checkpoint": ("CheckpointManager", "load_checkpoint", "save_checkpoint"),
+    ".circuit": ("CircuitBreaker",),
+    ".faults": (
+        "FaultPlan", "FaultSpec", "active", "install", "install_from_env",
+        "trip", "uninstall",
+    ),
+    ".guardrails": (
+        "FieldWatchdog", "MagnetisationWatchdog", "RemediationPolicy",
+        "Watchdog", "run_with_dt_remediation",
+    ),
+    ".journal": ("JobJournal", "JournalState", "read_journal"),
+    ".supervisor": ("ProcessSupervisor",),
+})
 
 __all__ = [
     "CacheCorrupt",

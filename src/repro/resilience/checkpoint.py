@@ -11,13 +11,16 @@ a half-written file behind for resume to trip over.
 :class:`CheckpointManager` is the solver-facing handle: constructed
 with a path and a period, it asks the solver for its state only on the
 steps it actually persists, so the hot loop pays one modulo per step.
-Both :class:`~repro.fdtd.ScalarWaveSimulator` and
-:class:`~repro.micromag.Simulation` accept a manager and expose
-``state_dict()`` / ``load_state()`` / ``restore_checkpoint()``.
+Both :class:`~repro.fdtd.ScalarWaveSimulator` (at construction) and
+:meth:`repro.micromag.Simulation.run` accept a manager; both solvers
+expose ``state_dict()`` / ``load_state()``, the FDTD one also
+``restore_checkpoint()``.  Every snapshot names its geometry
+(:func:`geometry_meta`) and loading checks it (:func:`check_geometry`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -29,6 +32,8 @@ from ..errors import CheckpointError
 
 __all__ = [
     "CheckpointManager",
+    "check_geometry",
+    "geometry_meta",
     "load_checkpoint",
     "save_checkpoint",
 ]
@@ -37,6 +42,27 @@ _META_KEY = "__meta__"
 
 #: ``state_dict`` contract: (arrays, metadata).
 StateDict = Tuple[Dict[str, np.ndarray], Dict[str, Any]]
+
+
+def geometry_meta(mask: np.ndarray) -> Dict[str, Any]:
+    """Checkpoint metadata naming a solver's geometry: the cell count
+    and a SHA-256 of the mask.  A grid shape alone does not tell two
+    geometries on the same grid apart."""
+    return {"cells": int(np.count_nonzero(mask)),
+            "mask_sha256": hashlib.sha256(
+                np.packbits(mask).tobytes()).hexdigest()}
+
+
+def check_geometry(meta: Dict[str, Any], mask: np.ndarray) -> None:
+    """Raise :class:`CheckpointError` unless ``meta`` carries
+    :func:`geometry_meta` of ``mask``: a snapshot of another geometry,
+    or one that does not name its geometry, must not resume on these
+    cells."""
+    expected = geometry_meta(mask)
+    if any(meta.get(name) != value for name, value in expected.items()):
+        raise CheckpointError(
+            f"checkpoint geometry ({meta.get('cells')} cells) does not "
+            f"match the simulator mask ({expected['cells']} cells)")
 
 
 def save_checkpoint(path: str, arrays: Dict[str, np.ndarray],

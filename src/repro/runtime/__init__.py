@@ -33,33 +33,26 @@ Quickstart
 See ``docs/RUNTIME.md`` for the job model and the cache layout.
 """
 
-from .aio import run_async, submit_async
-from .backend import ExecutorBackend, LocalPoolBackend, create_backend
-from .cache import (
-    DEFAULT_CACHE_ROOT,
-    QUARANTINE_DIR,
-    CacheStats,
-    CacheUsage,
-    DiskCache,
-    MemoryCache,
-    PruneResult,
-    ResultCache,
-    atomic_write,
-    cache_stats,
-    count_quarantined,
-    prune_cache,
-    scan_cache,
-)
-from .executor import (
-    Executor,
-    JobFailed,
-    JobOutcome,
-    JobTimeout,
-    RunResult,
-    backoff_delay,
-)
-from .report import JobRecord, RunReport
-from .spec import JobSpec, callable_ref, canonical_json, job_key, resolve_ref
+from .._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    ".aio": ("run_async", "submit_async"),
+    ".backend": ("ExecutorBackend", "LocalPoolBackend", "create_backend"),
+    ".cache": (
+        "DEFAULT_CACHE_ROOT", "QUARANTINE_DIR", "CacheStats", "CacheUsage",
+        "DiskCache", "MemoryCache", "PruneResult", "ResultCache",
+        "atomic_write", "cache_stats", "count_quarantined", "prune_cache",
+        "scan_cache",
+    ),
+    ".executor": (
+        "Executor", "JobFailed", "JobOutcome", "JobTimeout", "RunResult",
+        "backoff_delay",
+    ),
+    ".report": ("JobRecord", "RunReport"),
+    ".spec": (
+        "JobSpec", "callable_ref", "canonical_json", "job_key", "resolve_ref",
+    ),
+})
 
 __all__ = [
     "CacheStats",

@@ -47,10 +47,9 @@ except ImportError:  # non-POSIX: store() falls back to rename-only safety
 import numpy as np
 
 from .. import obs
+from ..defaults import DEFAULT_CACHE_ROOT
 from ..errors import CacheCorrupt
 from ..resilience import faults
-
-DEFAULT_CACHE_ROOT = ".repro_cache"
 
 #: Namespace directory (under the cache root) holding quarantined
 #: corrupt entries; excluded from scans, stats and pruning.

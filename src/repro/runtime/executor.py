@@ -40,7 +40,6 @@ import pickle
 import random
 import time
 import traceback
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -430,7 +429,7 @@ class Executor:
                     try:
                         value, resources = _unship(
                             future.result(timeout=self.timeout))
-                    except BrokenProcessPool:
+                    except cf.BrokenExecutor:
                         raise  # the outer handler degrades survivors
                     except cf.TimeoutError:
                         future.cancel()
@@ -471,7 +470,10 @@ class Executor:
                                                      record)
                         self._commit(outcomes[index])
                 remaining = retry_round
-        except BrokenProcessPool:
+        except cf.BrokenExecutor:
+            # BrokenProcessPool's base: naming it keeps
+            # concurrent.futures.process (and multiprocessing) unloaded
+            # until a pool is created.
             _LOG.warning("worker pool broke mid-run; surviving jobs "
                          "degrade to serial execution")
         finally:

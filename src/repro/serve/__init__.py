@@ -28,21 +28,16 @@ Endpoints: ``POST /v1/gate``, ``POST /v1/sweep``, ``GET /healthz``,
 See ``docs/SERVING.md``.
 """
 
-from ..errors import CircuitOpen, JobTimeout
-from .app import (
-    AccessLog,
-    GateService,
-    ServeConfig,
-    ServerThread,
-)
-from .client import ServeClient, ServeError
-from .prefork import run_prefork
-from .pipeline import (
-    GatePipeline,
-    Overloaded,
-    ServedResult,
-    TokenBucket,
-)
+from .._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "..defaults": ("ServeConfig",),
+    "..errors": ("CircuitOpen", "JobTimeout"),
+    ".app": ("AccessLog", "GateService", "ServerThread"),
+    ".client": ("ServeClient", "ServeError"),
+    ".prefork": ("run_prefork",),
+    ".pipeline": ("GatePipeline", "Overloaded", "ServedResult", "TokenBucket"),
+})
 
 __all__ = [
     "AccessLog",

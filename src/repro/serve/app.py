@@ -48,6 +48,7 @@ from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
+from ..defaults import ServeConfig
 from ..errors import CircuitOpen, JobTimeout
 from ..micromag.experiments import (
     SURROGATE_ONLY_KNOBS,
@@ -55,7 +56,7 @@ from ..micromag.experiments import (
     check_gate_case,
     gate_arity,
 )
-from ..runtime.cache import DEFAULT_CACHE_ROOT, DiskCache, ResultCache
+from ..runtime.cache import DiskCache, ResultCache
 from ..runtime.executor import Executor, JobFailed
 from ..runtime.report import utc_now_iso
 from ..runtime.spec import JobSpec
@@ -72,36 +73,6 @@ SPAN_FLUSH_INTERVAL = 5.0   # background span-drain period [s]
 
 class BadRequest(Exception):
     """Client error; maps to a 400 response with the message."""
-
-
-@dataclass
-class ServeConfig:
-    """Everything ``python -m repro serve`` can tune."""
-
-    host: str = "127.0.0.1"
-    port: int = 8077                 # 0 = ephemeral (tests, benches)
-    workers: Optional[int] = None    # pool size for fdtd/llg jobs
-    cache_dir: Optional[str] = DEFAULT_CACHE_ROOT  # None = no cache
-    max_queue: int = 64
-    rate: Optional[float] = None     # new jobs/s (None = unlimited)
-    burst: Optional[float] = None
-    batch_window_ms: float = 2.0
-    batch_max: int = 16
-    timeout: Optional[float] = None  # per-job bound for solver tiers
-    access_log: Optional[str] = None  # JSONL access-log path
-    trace: Optional[str] = None      # periodic span flush target (JSONL)
-    drain_timeout: float = 30.0
-    deadline_s: Optional[float] = None  # default request deadline
-    breaker_threshold: int = 5       # failures that open a tier's circuit
-    breaker_reset_s: float = 30.0    # open time before a probe is let in
-    surrogate_dir: Optional[str] = None  # characterization store root
-    # (None = $REPRO_SURROGATE_DIR or .repro_characterization/)
-    backend: Optional[str] = None    # solver-tier execution backend:
-    # None/"local" = in-process pool, "tcp://host:port" = repro.cluster
-    prefork: int = 0                 # worker processes sharing the port
-    # via SO_REUSEPORT (0 = single process); see repro.serve.prefork
-    reuse_port: bool = False         # bind with SO_REUSEPORT (set
-    # automatically for prefork children)
 
 
 class AccessLog:

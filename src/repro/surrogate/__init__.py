@@ -33,40 +33,26 @@ Quickstart
 See ``docs/SURROGATE.md``.
 """
 
-from ..errors import SurrogateDomainError
-from .jobs import (
-    AXIS_NAMES,
-    build_gate,
-    characterize_point,
-    thermal_phase_sigma,
-)
-from .model import (
-    MultilinearSurrogate,
-    RbfSurrogate,
-    fit_surrogate,
-    load_model,
-    response_names,
-    response_vector,
-)
-from .store import (
-    DEFAULT_AXES,
-    DEFAULT_ROOT,
-    AxisSpec,
-    CharacterizationDataset,
-    CharacterizationStore,
-    characterize,
-    dataset_id,
-    point_key,
-)
-from .tier import (
-    clear_registry,
-    evaluate_surrogate,
-    get_model,
-    model_path,
-    query_point,
-    register,
-    surrogate_root,
-)
+from .._lazy import lazy_exports
+
+lazy_exports(__name__, {
+    "..errors": ("SurrogateDomainError",),
+    ".jobs": (
+        "AXIS_NAMES", "build_gate", "characterize_point", "thermal_phase_sigma",
+    ),
+    ".model": (
+        "MultilinearSurrogate", "RbfSurrogate", "fit_surrogate", "load_model",
+        "response_names", "response_vector",
+    ),
+    ".store": (
+        "DEFAULT_AXES", "DEFAULT_ROOT", "AxisSpec", "CharacterizationDataset",
+        "CharacterizationStore", "characterize", "dataset_id", "point_key",
+    ),
+    ".tier": (
+        "clear_registry", "evaluate_surrogate", "get_model", "model_path",
+        "query_point", "register", "surrogate_root",
+    ),
+})
 
 __all__ = [
     "AXIS_NAMES",

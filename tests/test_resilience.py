@@ -28,7 +28,7 @@ from repro.errors import (
     SurrogateDomainError,
 )
 from repro.fdtd.scalar import ScalarWaveSimulator, WaveSource
-from repro.micromag import Mesh, Simulation
+from repro.micromag import ExcitationSource, Mesh, Simulation, rectangle
 from repro.micromag.experiments import run_gate_case
 from repro.micromag.llg import RK4Integrator, RK45Integrator
 from repro.physics import FECOB
@@ -466,6 +466,71 @@ class TestLlgResilience:
         # Five accepted steps, a few rejections at most and one failing
         # attempt, 7 evaluations each: nowhere near an unbounded loop.
         assert len(calls) <= 7 * 10, len(calls)
+
+
+def _make_llg(mask=None):
+    """Small driven FeCoB strip (40 x 6 cells of 5 nm), RK4 at T = 0."""
+    mesh = Mesh(cell_size=(5e-9, 5e-9, 1e-9), shape=(40, 6, 1))
+    sim = Simulation(mesh, FECOB, mask=mask, demag="thin_film")
+    sim.initialize((0, 0, 1))
+    sim.add_source(ExcitationSource(region=rectangle(20e-9, 0, 40e-9, 30e-9),
+                                    amplitude=8e3, frequency=18e9))
+    return sim
+
+
+class TestLlgCheckpoint:
+    DT = 2.5e-14
+    STEPS = 40
+
+    def _crash_after_checkpoint(self, path):
+        """Run STEPS steps with a snapshot at the last one."""
+        sim = _make_llg()
+        sim.run(self.STEPS * self.DT, self.DT,
+                checkpoint=CheckpointManager(path, every_steps=self.STEPS))
+        return sim
+
+    def test_resumed_run_is_bit_identical(self, tmp_path):
+        path = str(tmp_path / "llg.npz")
+        self._crash_after_checkpoint(path)
+
+        resumed = _make_llg()
+        resumed.load_state(*load_checkpoint(path))
+        resumed.run(self.STEPS * self.DT, self.DT)
+
+        reference = _make_llg()
+        start = reference.m.copy()
+        reference.run(2 * self.STEPS * self.DT, self.DT)
+        assert not np.allclose(reference.m, start)  # the drive acted
+        np.testing.assert_array_equal(resumed.m, reference.m)
+        assert resumed.t == reference.t
+
+    def test_snapshot_names_its_geometry(self, tmp_path):
+        path = str(tmp_path / "llg.npz")
+        sim = self._crash_after_checkpoint(path)
+        _arrays, meta = load_checkpoint(path)
+        assert meta["cells"] == int(sim.mask.sum()) == 240
+        assert len(meta["mask_sha256"]) == 64
+
+    def test_other_mask_on_the_same_mesh_rejected(self, tmp_path):
+        # Same mesh and field shape: only the geometry tells the
+        # snapshots apart.  Resuming would leave the cells that were
+        # vacuum in the snapshot at m = 0, where they never precess.
+        path = str(tmp_path / "llg.npz")
+        self._crash_after_checkpoint(path)
+        mask = np.ones((1, 6, 40), dtype=bool)
+        mask[:, 0, :] = False
+        other = _make_llg(mask=mask)
+        with pytest.raises(CheckpointError, match="geometry"):
+            other.load_state(*load_checkpoint(path))
+
+    def test_snapshot_without_geometry_rejected(self, tmp_path):
+        path = str(tmp_path / "bare.npz")
+        sim = _make_llg()
+        save_checkpoint(path, {"m": sim.m},
+                        {"solver": "llg", "t": 0.0,
+                         "shape": list(sim.mesh.field_shape)})
+        with pytest.raises(CheckpointError, match="geometry"):
+            sim.load_state(*load_checkpoint(path))
 
 
 class TestTierDegradation:
