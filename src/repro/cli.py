@@ -855,11 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
              "unlimited)"),
             ("--burst", float, "B",
              "token-bucket burst capacity (default max(1, rate))"),
-            ("--batch-window-ms", float, "MS",
-             "micro-batch collection window for network-tier requests "
-             "(default %(default)s ms)"),
             ("--batch-max", int, "N",
-             "flush a micro-batch at this many jobs (default "
+             "most network-tier jobs one micro-batch takes (default "
              "%(default)s)"),
             ("--timeout", float, None,
              "per-job wall-time bound for solver tiers [s]"),

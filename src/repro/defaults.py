@@ -43,7 +43,6 @@ class ServeConfig:
     max_queue: int = 64
     rate: Optional[float] = None     # new jobs/s (None = unlimited)
     burst: Optional[float] = None
-    batch_window_ms: float = 2.0
     batch_max: int = 16
     timeout: Optional[float] = None  # per-job bound for solver tiers
     access_log: Optional[str] = None  # JSONL access-log path

@@ -8,8 +8,9 @@ long-lived asyncio HTTP service with production semantics:
 
 * **single-flight coalescing** -- concurrent identical requests share
   one computation (keyed on :meth:`JobSpec.key`);
-* **micro-batching** -- compatible network-tier requests are grouped
-  into one vectorized executor batch;
+* **micro-batching** -- network-tier requests that queue while the
+  fast lane is busy leave together as one executor batch (group
+  commit; an idle lane adds no wait);
 * **backpressure** -- a bounded admission queue and a token-bucket
   rate limiter answer overload with ``429 Retry-After``;
 * **observability** -- Prometheus ``/metrics`` from the

@@ -120,6 +120,70 @@ class _Request:
         return payload
 
 
+async def _read_request(
+        reader: "asyncio.StreamReader") -> Optional[_Request]:
+    """Read one request off a keep-alive connection; None when the
+    client closed it or sent nothing whole within ``IDLE_TIMEOUT``.
+
+    The timeout bounds the whole read -- the wait for the request line,
+    the headers and the body -- so a client that stalls mid-request
+    cannot hold its connection.  Malformed or oversized input raises
+    :class:`BadRequest`; a connection cut mid-body raises
+    ``asyncio.IncompleteReadError``.
+    """
+    try:
+        return await asyncio.wait_for(_parse_request(reader), IDLE_TIMEOUT)
+    except asyncio.TimeoutError:
+        return None  # idle keep-alive connection or stalled client
+
+
+async def _read_line(reader: "asyncio.StreamReader", what: str) -> bytes:
+    try:
+        line = await reader.readline()
+    except (asyncio.LimitOverrunError, ValueError):
+        # The line outgrew the reader's buffer limit before its newline.
+        raise BadRequest(f"{what} too long") from None
+    if len(line) > MAX_REQUEST_LINE:
+        raise BadRequest(f"{what} too long")
+    return line
+
+
+async def _parse_request(
+        reader: "asyncio.StreamReader") -> Optional[_Request]:
+    line = await _read_line(reader, "request line")
+    if not line:
+        return None
+    parts = line.decode("latin-1").strip().split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise BadRequest("malformed request line")
+    method, target, version = parts
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = await _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        if len(headers) >= MAX_HEADERS:
+            raise BadRequest("too many headers")
+        name, sep, value = line.decode("latin-1").partition(":")
+        if not sep:
+            raise BadRequest("malformed header")
+        headers[name.strip().lower()] = value.strip()
+    length_text = headers.get("content-length", "0")
+    # Decimal digits only: int() would also take "-5", "+5", "1_0".
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise BadRequest(f"bad Content-Length {length_text!r}")
+    digits = length_text.lstrip("0") or "0"
+    # Count digits first: int() refuses strings over 4300 digits long.
+    length = (int(digits) if len(digits) <= len(str(MAX_BODY))
+              else MAX_BODY + 1)
+    if length > MAX_BODY:
+        raise BadRequest(f"body too large ({length_text} bytes)")
+    body = await reader.readexactly(length) if length else b""
+    headers["_http_version"] = version
+    return _Request(method=method, path=target.split("?", 1)[0],
+                    headers=headers, body=body)
+
+
 class GateService:
     """The service: owns the executors, pipeline, server and lifecycle."""
 
@@ -142,9 +206,7 @@ class GateService:
         self.pipeline = GatePipeline(
             self.fast_executor, cache=self.cache,
             max_queue=self.config.max_queue, rate=self.config.rate,
-            burst=self.config.burst,
-            batch_window=self.config.batch_window_ms / 1e3,
-            batch_max=self.config.batch_max,
+            burst=self.config.burst, batch_max=self.config.batch_max,
             breaker_threshold=self.config.breaker_threshold,
             breaker_reset_s=self.config.breaker_reset_s)
         self.access_log: Optional[AccessLog] = None
@@ -271,7 +333,7 @@ class GateService:
         client = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "?"
         try:
             while True:
-                request = await self._read_request(reader)
+                request = await _read_request(reader)
                 if request is None:
                     break
                 keep_alive = await self._dispatch(request, writer, client)
@@ -294,43 +356,6 @@ class GateService:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
-
-    async def _read_request(
-            self, reader: "asyncio.StreamReader") -> Optional[_Request]:
-        try:
-            line = await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT)
-        except asyncio.TimeoutError:
-            return None  # idle keep-alive connection: close it
-        if not line:
-            return None
-        if len(line) > MAX_REQUEST_LINE:
-            raise BadRequest("request line too long")
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise BadRequest("malformed request line")
-        method, target, version = parts
-        headers: Dict[str, str] = {}
-        for _ in range(MAX_HEADERS + 1):
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if len(headers) >= MAX_HEADERS:
-                raise BadRequest("too many headers")
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                raise BadRequest("malformed header")
-            headers[name.strip().lower()] = value.strip()
-        length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise BadRequest(f"bad Content-Length {length_text!r}")
-        if length > MAX_BODY:
-            raise BadRequest(f"body too large ({length} bytes)")
-        body = await reader.readexactly(length) if length else b""
-        headers["_http_version"] = version
-        return _Request(method=method, path=target.split("?", 1)[0],
-                        headers=headers, body=body)
 
     # -- dispatch -----------------------------------------------------------
 

@@ -17,12 +17,17 @@ Every gate evaluation entering the service flows through one
    rate limiter.  Either limit raises :class:`Overloaded`, which the
    HTTP layer maps to ``429`` with a ``Retry-After`` hint -- load is
    shed at the door instead of growing an unbounded backlog.
-4. **Micro-batching.**  Requests marked batchable (network-tier
-   evaluations, which cost microseconds each) are collected for up to
-   ``batch_window`` seconds (or until ``batch_max`` of them pile up)
-   and submitted as ONE ``Executor.run`` batch -- one thread hop and
-   one report for the whole group ("batched").  Heavier tiers skip
-   the window and run as single-spec batches ("computed").
+4. **Micro-batching by group commit.**  Requests marked batchable
+   (network-tier evaluations, which cost microseconds each) share one
+   fast lane that runs ONE ``Executor.run`` batch at a time -- one
+   thread hop and one report for the whole group ("batched").  A
+   request that finds the lane idle leaves at the end of the current
+   event-loop tick, together with whatever else arrived in that tick;
+   requests that arrive while a batch runs queue up and leave together
+   as the next batch, at most ``batch_max`` at a time.  An idle lane
+   adds no wait; batches form only under load, where they pay.
+   Heavier tiers skip the lane and run as single-spec batches
+   ("computed").
 
 The pipeline never blocks the event loop: executor calls go through
 :func:`repro.runtime.aio.run_async`, and compute runs as background
@@ -158,10 +163,9 @@ class GatePipeline:
     rate / burst:
         Token-bucket admission rate in new jobs per second (None
         disables rate limiting) and its burst capacity.
-    batch_window:
-        Seconds a batchable request may wait for companions.
     batch_max:
-        Flush a batch immediately once it reaches this many jobs.
+        Most jobs one fast-lane batch takes; the rest of the queue
+        waits for the batch after it.
     salt:
         Cache-key salt override (defaults to the package version).
     breaker_threshold / breaker_reset_s:
@@ -174,7 +178,6 @@ class GatePipeline:
                  max_queue: int = 64,
                  rate: Optional[float] = None,
                  burst: Optional[float] = None,
-                 batch_window: float = 0.002,
                  batch_max: int = 16,
                  salt: Optional[str] = None,
                  breaker_threshold: int = 5,
@@ -183,7 +186,6 @@ class GatePipeline:
         self.cache = cache
         self.max_queue = max(1, int(max_queue))
         self.bucket = TokenBucket(rate, burst) if rate else None
-        self.batch_window = max(0.0, float(batch_window))
         self.batch_max = max(1, int(batch_max))
         self.salt = salt
         self.breaker_threshold = max(1, int(breaker_threshold))
@@ -191,9 +193,9 @@ class GatePipeline:
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._inflight: Dict[str, "asyncio.Future"] = {}
         self._pending = 0
-        self._batch: List[Tuple[str, JobSpec, "asyncio.Future",
+        self._queue: List[Tuple[str, JobSpec, "asyncio.Future",
                                 Executor]] = []
-        self._flush_task: Optional["asyncio.Task"] = None
+        self._lane: Optional["asyncio.Task"] = None
         self._tasks: set = set()
 
     # -- public API ---------------------------------------------------------
@@ -332,8 +334,8 @@ class GatePipeline:
                 "cache") from None
 
     async def drain(self) -> None:
-        """Flush any pending batch and wait for all in-flight work."""
-        self._flush_now()
+        """Wait for all in-flight work, including every queued batch
+        (the fast lane runs its queue dry before it stops)."""
         while self._tasks:
             await asyncio.gather(*list(self._tasks),
                                  return_exceptions=True)
@@ -401,30 +403,24 @@ class GatePipeline:
 
     def _enqueue(self, key: str, spec: JobSpec, future: "asyncio.Future",
                  executor: Executor) -> None:
-        self._batch.append((key, spec, future, executor))
-        if len(self._batch) >= self.batch_max or self.batch_window == 0.0:
-            self._flush_now()
-        elif self._flush_task is None:
-            self._flush_task = asyncio.get_running_loop().create_task(
-                self._flush_after(self.batch_window))
-            self._track(self._flush_task)
+        self._queue.append((key, spec, future, executor))
+        if self._lane is None:
+            # The lane's first step runs at the end of this loop tick
+            # (``call_soon``), so requests of the same tick join it.
+            self._lane = asyncio.get_running_loop().create_task(
+                self._run_lane())
+            self._track(self._lane)
 
-    def _flush_now(self) -> None:
-        """Snapshot the pending batch and run it as one executor call."""
-        batch, self._batch = self._batch, []
-        timer, self._flush_task = self._flush_task, None
-        if timer is not None and timer is not asyncio.current_task():
-            timer.cancel()
-        if batch:
-            self._track(asyncio.get_running_loop().create_task(
-                self._run_batch(batch)))
-
-    async def _flush_after(self, delay: float) -> None:
+    async def _run_lane(self) -> None:
+        """Group commit: run the queue one batch at a time, each batch
+        taking everything that queued behind the one before it."""
         try:
-            await asyncio.sleep(delay)
-        except asyncio.CancelledError:
-            return  # an immediate flush already took the batch
-        self._flush_now()
+            while self._queue:
+                batch = self._queue[:self.batch_max]
+                del self._queue[:self.batch_max]
+                await self._run_batch(batch)
+        finally:
+            self._lane = None
 
     async def _run_batch(self, batch: List[Tuple[str, JobSpec,
                                                  "asyncio.Future",

@@ -50,8 +50,8 @@ ARGVS = [
     ["serve"],
     ["--no-cache", "serve", "--workers", "2"],
     ["serve", "--host", "0.0.0.0", "--port", "0", "--max-queue", "8",
-     "--rate", "250", "--burst", "50", "--batch-window-ms", "5",
-     "--batch-max", "32", "--timeout", "9", "--cache-dir", "c",
+     "--rate", "250", "--burst", "50", "--batch-max", "32",
+     "--timeout", "9", "--cache-dir", "c",
      "--access-log", "a.jsonl", "--drain-timeout", "5",
      "--deadline-s", "2", "--breaker-threshold", "3",
      "--breaker-reset-s", "7", "--surrogate-dir", "sd",

@@ -436,7 +436,7 @@ class TestServeParserWiring:
         args = build_parser().parse_args(["serve"])
         assert args.port == 8077
         assert args.max_queue == 64
-        assert args.batch_window_ms == 2.0
+        assert not hasattr(args, "batch_window_ms")
         assert args.batch_max == 16
         assert args.rate is None
         assert args.drain_timeout == 30.0
@@ -448,15 +448,24 @@ class TestServeParserWiring:
         args = build_parser().parse_args(
             ["serve", "--host", "0.0.0.0", "--port", "0",
              "--max-queue", "8", "--rate", "250", "--burst", "50",
-             "--batch-window-ms", "5", "--batch-max", "32",
+             "--batch-max", "32",
              "--access-log", "a.jsonl", "--drain-timeout", "5"])
         assert args.host == "0.0.0.0"
         assert args.port == 0
         assert args.max_queue == 8
         assert args.rate == 250.0 and args.burst == 50.0
-        assert args.batch_window_ms == 5.0 and args.batch_max == 32
+        assert args.batch_max == 32
         assert args.access_log == "a.jsonl"
         assert args.drain_timeout == 5.0
+
+    def test_batch_window_flag_is_gone(self, capsys):
+        """Micro-batches form by group commit; there is no window."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--batch-window-ms", "5"])
+        assert exc.value.code == 2
+        assert "--batch-window-ms" in capsys.readouterr().err
 
     def test_zero_rate_still_means_unlimited(self):
         from repro.cli import build_parser

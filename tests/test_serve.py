@@ -175,45 +175,135 @@ class TestCoalescing:
         assert repaired.source == SOURCE_CACHED
 
 
+LANE_HOLD = threading.Event()
+
+
+def held_add(a, b):
+    """Blocks its executor thread until the test sets ``LANE_HOLD``."""
+    LANE_HOLD.wait(timeout=30)
+    return a + b
+
+
+async def _wait_in_flight(pipeline, n):
+    deadline = time.monotonic() + 10.0
+    while pipeline.in_flight < n:
+        assert time.monotonic() < deadline, f"never reached {n} in flight"
+        await asyncio.sleep(0.005)
+
+
+async def _hold_lane(pipeline, specs):
+    """Occupy the fast lane with a ``held_add`` batch and queue ``specs``
+    behind it; returns the holder and the queued submit futures with
+    the lane still held (the caller sets ``LANE_HOLD``)."""
+    LANE_HOLD.clear()
+    holder = asyncio.ensure_future(pipeline.submit(
+        JobSpec(held_add, {"a": 0, "b": len(specs)}), batchable=True))
+    await _wait_in_flight(pipeline, 1)  # the holder's batch is running
+    queued = [asyncio.ensure_future(pipeline.submit(s, batchable=True))
+              for s in specs]
+    await _wait_in_flight(pipeline, len(specs) + 1)
+    assert len(pipeline._queue) == len(specs)  # all behind the lane
+    return holder, queued
+
+
+async def _queue_behind_held_lane(pipeline, specs):
+    """Queue ``specs`` behind a held lane, release it and return their
+    results."""
+    try:
+        holder, queued = await _hold_lane(pipeline, specs)
+    finally:
+        LANE_HOLD.set()
+    assert (await holder).batch_size == 1
+    return await asyncio.gather(*queued)
+
+
 class TestBatching:
-    def test_window_groups_requests_into_one_executor_call(self, tmp_path):
+    def test_queue_behind_busy_lane_leaves_as_one_batch(self, tmp_path):
         obs.enable()
-        pipeline, _ = _pipeline(tmp_path, batch_window=0.05)
+        pipeline, _ = _pipeline(tmp_path)
         specs = [JobSpec(quick_add, {"a": i, "b": 100}) for i in range(4)]
 
-        async def main():
-            return await asyncio.gather(
-                *(pipeline.submit(s, batchable=True) for s in specs))
-
-        results = asyncio.run(main())
+        results = asyncio.run(_queue_behind_held_lane(pipeline, specs))
         assert [r.value for r in results] == [100, 101, 102, 103]
         assert all(r.source == SOURCE_BATCHED for r in results)
         assert all(r.batch_size == 4 for r in results)
-        assert obs.counter("serve.batches").value == 1
+        assert obs.counter("serve.batches").value == 2  # holder + queue
         assert obs.counter("serve.batched").value == 4
 
-    def test_batch_max_flushes_immediately(self, tmp_path):
-        pipeline, _ = _pipeline(tmp_path, batch_window=5.0, batch_max=2)
-        specs = [JobSpec(quick_add, {"a": i, "b": 200}) for i in range(4)]
+    def test_batch_max_caps_each_batch(self, tmp_path):
+        obs.enable()
+        pipeline, _ = _pipeline(tmp_path, batch_max=2)
+        specs = [JobSpec(quick_add, {"a": i, "b": 200}) for i in range(5)]
+
+        results = asyncio.run(_queue_behind_held_lane(pipeline, specs))
+        assert [r.value for r in results] == [200, 201, 202, 203, 204]
+        assert sorted(r.batch_size for r in results) == [1, 2, 2, 2, 2]
+        assert obs.counter("serve.batches").value == 4  # holder + 2 + 2 + 1
+
+    def test_same_tick_requests_share_one_batch(self, tmp_path):
+        """Without a cache lookup to await, a gather of submits enqueues
+        in one loop tick: the idle lane takes them all at once."""
+        cache = DiskCache(root=str(tmp_path / "cache"))
+        pipeline = GatePipeline(Executor(cache=cache, workers=1))
+        specs = [JobSpec(quick_add, {"a": i, "b": 400}) for i in range(3)]
 
         async def main():
             return await asyncio.gather(
                 *(pipeline.submit(s, batchable=True) for s in specs))
 
-        t0 = time.monotonic()
         results = asyncio.run(main())
-        assert time.monotonic() - t0 < 4.0  # never waited out the window
-        assert [r.value for r in results] == [200, 201, 202, 203]
-        assert all(r.batch_size == 2 for r in results)
-        assert obs.counter("serve.batches").value == 2
+        assert [r.value for r in results] == [400, 401, 402]
+        assert all(r.source == SOURCE_BATCHED for r in results)
+        assert all(r.batch_size == 3 for r in results)
 
     def test_lone_batchable_request_is_computed(self, tmp_path):
-        pipeline, _ = _pipeline(tmp_path, batch_window=0.01)
+        pipeline, _ = _pipeline(tmp_path)
         result = asyncio.run(pipeline.submit(
             JobSpec(quick_add, {"a": 3, "b": 300}), batchable=True))
         assert result.value == 303
         assert result.source == SOURCE_COMPUTED
         assert result.batch_size == 1
+
+    def test_idle_lane_never_sleeps(self, tmp_path, monkeypatch):
+        """Group commit has no collection window: a request that finds
+        the lane idle runs at once."""
+        from repro.serve import pipeline as pipeline_module
+
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            # Recorded, not raised: an error thrown into the lane task
+            # would leave the request waiting instead of failing.
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module.asyncio, "sleep",
+                            recording_sleep)
+        pipeline, _ = _pipeline(tmp_path)
+        result = asyncio.run(pipeline.submit(
+            JobSpec(quick_add, {"a": 5, "b": 500}), batchable=True))
+        assert sleeps == [], f"the fast lane slept {sleeps}"
+        assert result.value == 505
+        assert result.source == SOURCE_COMPUTED
+        assert result.batch_size == 1
+
+    def test_drain_runs_every_queued_batch(self, tmp_path):
+        pipeline, _ = _pipeline(tmp_path, batch_max=2)
+        specs = [JobSpec(quick_add, {"a": i, "b": 600}) for i in range(3)]
+
+        async def main():
+            try:
+                holder, queued = await _hold_lane(pipeline, specs)
+            finally:
+                threading.Timer(0.05, LANE_HOLD.set).start()
+            await pipeline.drain()
+            assert pipeline.in_flight == 0 and not pipeline._queue
+            return await asyncio.gather(holder, *queued)
+
+        results = asyncio.run(main())
+        assert [r.value for r in results] == [3, 600, 601, 602]
+        assert sorted(r.batch_size for r in results[1:]) == [1, 2, 2]
 
 
 class TestBackpressure:
@@ -642,17 +732,21 @@ class TestServeSubprocess:
         assert any(json.loads(l)["path"] == "/v1/gate" for l in lines)
 
     def test_sigterm_drains_in_flight_microbatch(self, tmp_path):
-        """SIGTERM while a micro-batch is still collecting must flush
-        the batch and answer every waiter before the process exits."""
+        """SIGTERM while a micro-batch is queued behind a busy fast lane
+        must run that batch and answer every waiter before the process
+        exits."""
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        # The first job sleeps, holding the lane while two more queue.
+        env["REPRO_FAULTS"] = FaultPlan(specs=[
+            FaultSpec(site="executor.invoke", kind="slow", at=1, count=1,
+                      delay_s=2.0)]).to_json()
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", str(port),
-             "--cache-dir", str(tmp_path / "cache"),
-             "--batch-window-ms", "2000"],  # far longer than the test
+             "--cache-dir", str(tmp_path / "cache")],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             base = f"http://127.0.0.1:{port}"
@@ -666,19 +760,22 @@ class TestServeSubprocess:
                     base, "/v1/gate", {"gate": "xor", "bits": bits},
                     timeout=30.0)
 
-            threads = [threading.Thread(target=post, args=([0, 1],)),
-                       threading.Thread(target=post, args=([1, 0],))]
-            for thread in threads:
+            def wait_in_flight(n):
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    if client.health()["in_flight"] >= n:
+                        return
+                    time.sleep(0.02)
+                pytest.fail(f"never {n} jobs in flight")
+
+            threads = [threading.Thread(target=post, args=([0, 0],))]
+            threads[0].start()
+            wait_in_flight(1)  # the slowed job holds the lane
+            threads += [threading.Thread(target=post, args=([0, 1],)),
+                        threading.Thread(target=post, args=([1, 0],))]
+            for thread in threads[1:]:
                 thread.start()
-            # Wait until both jobs are admitted into the (2 s) batch
-            # window, then interrupt the collection with SIGTERM.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if client.health()["in_flight"] >= 2:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("batch never formed")
+            wait_in_flight(3)  # both queued behind it
             proc.send_signal(signal.SIGTERM)
             for thread in threads:
                 thread.join(timeout=30)
@@ -687,9 +784,12 @@ class TestServeSubprocess:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-        assert set(answers) == {(0, 1), (1, 0)}
+        assert set(answers) == {(0, 0), (0, 1), (1, 0)}
         for status, _headers, body in answers.values():
             assert status == 200
             assert body["result"]["correct"] is True
-            assert body["served"]["source"] == SOURCE_BATCHED
-            assert body["served"]["batch_size"] == 2
+        assert answers[(0, 0)][2]["served"]["source"] == SOURCE_COMPUTED
+        for bits in ((0, 1), (1, 0)):
+            served = answers[bits][2]["served"]
+            assert served["source"] == SOURCE_BATCHED
+            assert served["batch_size"] == 2
