@@ -40,7 +40,7 @@ def demo_maj5() -> None:
     gate = TriangleMajority5Gate()
     print(f"Fan-in-5 majority (stacked inputs, {gate.n_cells} cells): "
           f"all 32 patterns correct = {gate.is_functionally_correct()}")
-    outputs = gate.evaluate((1, 0, 1, 1, 0))
+    outputs = gate.evaluate((1, 0, 1, 1, 0)).outputs
     print(f"  MAJ5(1,0,1,1,0) -> O1 = {outputs['O1'].logic_value}, "
           f"O2 = {outputs['O2'].logic_value}\n")
 

@@ -63,8 +63,8 @@ def main() -> None:
     print("\nDerived 2-input gates (I3 = control):")
     for name in ("AND", "OR", "NAND", "NOR"):
         gate = DerivedTriangleGate(name)
-        values = [gate.evaluate(a, b).outputs["O1"].logic_value
-                  for a, b in input_patterns(2)]
+        values = [gate.evaluate(bits).outputs["O1"].logic_value
+                  for bits in input_patterns(2)]
         print(f"  {name:<4} (I3 = {gate.control_value}): "
               f"{dict(zip(input_patterns(2), values))}")
 

@@ -17,14 +17,14 @@ Two gate-model levels are available:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple
 
 from ..core.gates import DerivedTriangleGate, TriangleMajorityGate, TriangleXorGate
 from ..core.logic import and_, majority, nand, nor, not_, or_, xnor, xor
-from ..evaluation.energy import TABLE_DELAY, estimate_gate_energy
+from ..evaluation.energy import TABLE_DELAY
 from ..evaluation.transducers import PAPER_ME_CELL, METransducer
-from .netlist import GATE_PORT_COUNTS, Netlist
+from .netlist import Netlist
 
 #: Boolean reference function per gate type (first output; the second
 #: output of an FO2 gate carries the same value).
@@ -126,11 +126,7 @@ class CircuitSimulator:
     def _evaluate_gate(self, name: str, in_bits: Tuple[int, ...]) -> int:
         inst = self.netlist.gates[name]
         if self.model == "network" and name in self._wave_gates:
-            gate = self._wave_gates[name]
-            if isinstance(gate, DerivedTriangleGate):
-                result = gate.evaluate(*in_bits)
-            else:
-                result = gate.evaluate(in_bits)
+            result = self._wave_gates[name].evaluate(in_bits)
             if not result.fanout_matched:
                 raise RuntimeError(
                     f"gate {name!r}: outputs disagree (FO2 violated)")

@@ -41,31 +41,25 @@ def _cmd_truth_table(args: argparse.Namespace) -> int:
 
     from .core import DerivedTriangleGate, TriangleMajorityGate, TriangleXorGate
     from .core.extended import TriangleMajority5Gate
-    from .core.logic import input_patterns
     from .io import format_truth_table
 
-    gates = {  # name -> (inputs, gate factory)
-        "maj3": (3, TriangleMajorityGate),
-        "nmaj3": (3, partial(TriangleMajorityGate, invert_output=True)),
-        "xor": (2, TriangleXorGate),
-        "xnor": (2, partial(TriangleXorGate, xnor=True)),
-        "maj5": (5, TriangleMajority5Gate),
-        **{name: (2, partial(DerivedTriangleGate, name))
+    gates = {  # name -> gate factory
+        "maj3": TriangleMajorityGate,
+        "nmaj3": partial(TriangleMajorityGate, invert_output=True),
+        "xor": TriangleXorGate,
+        "xnor": partial(TriangleXorGate, xnor=True),
+        "maj5": TriangleMajority5Gate,
+        **{name: partial(DerivedTriangleGate, name)
            for name in ("and", "or", "nand", "nor")},
     }
     if args.gate.lower() not in gates:
         return _fail(f"unknown gate {args.gate!r}; choose from "
                      f"{', '.join(gates)}")
-    n, factory = gates[args.gate.lower()]
-    gate = factory()
-    patterns = input_patterns(n)
-    rows = []
-    for bits in patterns:
-        result = (gate.evaluate(*bits)
-                  if isinstance(gate, DerivedTriangleGate)
-                  else gate.evaluate(bits))
-        outputs = getattr(result, "outputs", result)
-        rows.append([outputs["O1"].logic_value, outputs["O2"].logic_value])
+    table = gates[args.gate.lower()]().truth_table()
+    patterns = list(table)
+    n = len(patterns[0])
+    rows = [[result.outputs["O1"].logic_value,
+             result.outputs["O2"].logic_value] for result in table.values()]
     print(format_truth_table(patterns, ["O1", "O2"], rows,
                              [f"I{i + 1}" for i in range(n)],
                              title=f"{args.gate.upper()} "
@@ -713,7 +707,12 @@ def _shared_flags():
 
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
-    from .defaults import GATE_ARITY, TIERS, ServeConfig
+    from .defaults import (
+        DEFAULT_HEARTBEAT_TIMEOUT,
+        GATE_ARITY,
+        TIERS,
+        ServeConfig,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -935,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--retries", int, 2, "N",
          "attempts per failing job beyond the first (default "
          "%(default)s; worker deaths do not consume attempts)"),
-        ("--heartbeat-timeout", float, 3.0, "S",
+        ("--heartbeat-timeout", float, DEFAULT_HEARTBEAT_TIMEOUT, "S",
          "seconds without a heartbeat before a worker is declared lost "
          "and its jobs rescheduled (default %(default)s)"),
         ("--max-restarts", int, 20, "N",

@@ -47,6 +47,7 @@ import time
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .. import obs
+from ..defaults import DEFAULT_HEARTBEAT_TIMEOUT
 from ..errors import ClusterAuthError, ClusterError
 from ..resilience.journal import JobJournal
 from ..runtime.cache import ResultCache
@@ -56,10 +57,6 @@ _LOG = obs.get_logger("cluster.coordinator")
 
 #: Heartbeat interval workers are told to use (seconds).
 DEFAULT_HEARTBEAT_INTERVAL = 0.5
-
-#: Silence (no heartbeat, no result) after which a worker is declared
-#: dead and its in-flight jobs are rescheduled.
-DEFAULT_HEARTBEAT_TIMEOUT = 3.0
 
 
 def _shutdown_socket(sock: socket.socket) -> None:

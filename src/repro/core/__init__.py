@@ -7,7 +7,9 @@ lazy_exports(__name__, {
         "and_", "full_adder", "input_patterns", "majority", "majority_derived",
         "nand", "nor", "not_", "or_", "truth_table", "xnor", "xor",
     ),
-    ".detection": ("DetectionResult", "PhaseDetector", "ThresholdDetector"),
+    ".detection": (
+        "DetectionResult", "GateResult", "PhaseDetector", "ThresholdDetector",
+    ),
     ".layout": (
         "PAPER_FREQUENCY", "PAPER_WAVELENGTH", "PAPER_WIDTH", "GateDimensions",
         "GateLayout", "Segment", "is_phase_inverting", "is_phase_preserving",
@@ -24,8 +26,8 @@ lazy_exports(__name__, {
         "settle_periods_for",
     ),
     ".gates": (
-        "DerivedTriangleGate", "GateResult", "TriangleMajorityGate",
-        "TriangleXorGate", "paper_table_i_gate", "paper_table_ii_gate",
+        "DerivedTriangleGate", "TriangleMajorityGate", "TriangleXorGate",
+        "paper_table_i_gate", "paper_table_ii_gate",
     ),
     ".ladder": ("LadderDimensions", "LadderMajorityGate", "LadderXorGate"),
     ".device": (

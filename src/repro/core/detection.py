@@ -1,17 +1,25 @@
-"""Output detectors: phase detection and threshold detection.
+"""Output detectors and the one decode policy every gate and tier uses.
 
 Section III of the paper: the Majority gate reads the *phase* of the
 arriving wave against a predefined reference (0 -> logic 0, pi -> logic
 1), while the X(N)OR gate compares the arriving *amplitude* against a
-predefined threshold (0.5 of the unanimous-case amplitude).
+predefined threshold (0.5 of the unanimous-case amplitude).  Both
+references are the gate's own all-zeros output.
+
+:func:`decode` applies that policy to a gate's output envelopes, and
+:meth:`GateResult.record` turns the decoded outputs into the case
+record of :func:`repro.micromag.experiments.run_gate_case`.  Every
+gate class and every tier (network, FDTD, LLG, surrogate) goes through
+these two.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Mapping
+
+import numpy as np
 
 from ..physics.waves import Wave, phase_distance
 
@@ -146,3 +154,115 @@ class ThresholdDetector:
         return ThresholdDetector(threshold=self.threshold,
                                  reference_amplitude=unanimous_wave.amplitude,
                                  invert=self.invert)
+
+
+@dataclass(frozen=True)
+class Readout:
+    """How a gate's outputs are read.
+
+    Attributes
+    ----------
+    kind:
+        ``"phase"`` (majority gates: phase against the all-zeros phase)
+        or ``"threshold"`` (X(N)OR: amplitude against ``threshold``
+        times the all-zeros amplitude).
+    invert:
+        The inverted gate: NMAJ, whose d4 adds half a wavelength (the
+        detector reference moves back by pi), or XNOR (above threshold
+        decodes 1).  The gate's logic function is inverted with it.
+    threshold:
+        Threshold detection's decision level on the normalised amplitude.
+    """
+
+    kind: str
+    invert: bool = False
+    threshold: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("phase", "threshold"):
+            raise ValueError(f"unknown readout {self.kind!r}; use 'phase' "
+                             "or 'threshold'")
+
+
+#: The readout of each gate a gate case can name.
+GATE_READOUTS = {"maj3": Readout("phase"), "xor": Readout("threshold")}
+
+
+def decode(readout: Readout, envelopes: Mapping[str, complex],
+           references: Mapping[str, complex],
+           frequency: float = 10e9) -> Dict[str, DetectionResult]:
+    """Decode each output envelope against its all-zeros reference.
+
+    Returns one :class:`DetectionResult` per output, in the order of
+    ``envelopes``.  A threshold result's ``amplitude`` is the
+    normalised level; a phase result's is the raw magnitude.
+    """
+    results = {}
+    for name, envelope in envelopes.items():
+        reference = references[name]
+        if readout.kind == "phase":
+            detector = PhaseDetector(
+                reference_phase=float(np.angle(reference))
+                - (math.pi if readout.invert else 0.0))
+        else:
+            detector = ThresholdDetector(threshold=readout.threshold,
+                                         reference_amplitude=abs(reference),
+                                         invert=readout.invert)
+        results[name] = detector.detect_envelope(envelope, frequency)
+    return results
+
+
+def normalized_levels(envelopes: Mapping[str, complex],
+                      references: Mapping[str, complex]) -> Dict[str, float]:
+    """Each output's magnitude over its all-zeros magnitude (the
+    normalisation of Tables I and II)."""
+    return {name: abs(envelope) / max(abs(references[name]), 1e-30)
+            for name, envelope in envelopes.items()}
+
+
+@dataclass
+class GateResult:
+    """Outcome of one gate evaluation.
+
+    Attributes
+    ----------
+    inputs:
+        The applied input bits, keyed "I1"...
+    outputs:
+        Output name -> :class:`DetectionResult`.
+    expected:
+        The boolean-reference output bit.
+    backend:
+        Which tier produced it.
+    normalized:
+        Output name -> magnitude over the all-zeros magnitude.
+    """
+
+    inputs: Dict[str, int]
+    outputs: Dict[str, DetectionResult]
+    expected: int
+    backend: str
+    normalized: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def correct(self) -> bool:
+        """True if every output decoded to the reference value."""
+        return all(r.logic_value == self.expected
+                   for r in self.outputs.values())
+
+    @property
+    def fanout_matched(self) -> bool:
+        """True if O1 and O2 agree (the FO2 property)."""
+        values = {r.logic_value for r in self.outputs.values()}
+        return len(values) == 1
+
+    def record(self) -> Dict[str, Any]:
+        """The ``outputs``, ``normalized``, ``expected``, ``correct`` and
+        ``fanout_matched`` fields of a ``run_gate_case`` record."""
+        return {"outputs": {name: {"logic": r.logic_value,
+                                   "amplitude": r.amplitude,
+                                   "phase": r.phase, "margin": r.margin}
+                            for name, r in self.outputs.items()},
+                "normalized": [self.normalized[name] for name in self.outputs],
+                "expected": self.expected, "correct": self.correct,
+                "fanout_matched": self.fanout_matched}

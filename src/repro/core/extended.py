@@ -16,21 +16,24 @@ Two scaling directions the paper claims but does not evaluate:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..circuits.components import DirectionalCoupler, Repeater
-from ..evaluation.transducers import PAPER_ME_CELL, METransducer
 from ..physics.attenuation import LOSSLESS, AttenuationModel
 from ..physics.waves import Wave
-from .detection import DetectionResult, PhaseDetector
-from .layout import GateDimensions, paper_maj3_dimensions, segment_length
-from .logic import check_bits, input_patterns, majority
-from .network import WaveNetwork
+from .detection import Readout
+from .layout import (
+    GateDimensions,
+    maj3_layout,
+    paper_maj3_dimensions,
+    segment_length,
+)
+from .logic import majority
+from .network import NetworkGate, network_from_layout
 
 
-class TriangleMajority5Gate:
+class TriangleMajority5Gate(NetworkGate):
     """Fan-in-5, fan-out-2 majority gate with stacked input cells.
 
     Topology: the MAJ3 merge-stem-split skeleton, with two extra
@@ -54,37 +57,16 @@ class TriangleMajority5Gate:
                              "of separation")
         self.dimensions = dimensions if dimensions is not None \
             else paper_maj3_dimensions()
-        self.frequency = frequency
         self.attenuation = attenuation
         self.stack_offset = segment_length(stack_offset_wavelengths,
                                            self.dimensions.wavelength)
-        self.network = self._build_network()
-        self._reference: Optional[Dict[str, float]] = None
-
-    def _build_network(self) -> WaveNetwork:
-        d = self.dimensions
-        net = WaveNetwork(self.frequency, d.wavelength, self.attenuation)
-        # Stacked cells feed the arm entry points; the arm then merges.
+        # The MAJ3 body; the stacked cells feed its input arms.
+        net = network_from_layout(maj3_layout(self.dimensions), frequency,
+                                  attenuation)
         net.add_edge("I5", "I1", self.stack_offset)
         net.add_edge("I4", "I2", self.stack_offset)
-        net.add_edge("I1", "M", d.d1)
-        net.add_edge("I2", "M", d.d1)
-        net.add_edge("M", "C", d.stem)
-        net.add_edge("C", "K1", d.d1)
-        net.add_edge("C", "K2", d.d1)
-        net.add_edge("I3", "K1", d.d2)
-        net.add_edge("I3", "K2", d.d2)
-        net.add_edge("K1", "O1", d.d3 + d.d4)
-        net.add_edge("K2", "O2", d.d3 + d.d4)
-        return net
-
-    @property
-    def input_names(self) -> List[str]:
-        return ["I1", "I2", "I3", "I4", "I5"]
-
-    @property
-    def output_names(self) -> List[str]:
-        return ["O1", "O2"]
+        super().__init__(net, Readout("phase"), majority,
+                         ("I1", "I2", "I3", "I4", "I5"))
 
     @property
     def n_excitation_cells(self) -> int:
@@ -99,40 +81,6 @@ class TriangleMajority5Gate:
         """7 cells total -- each extra input costs exactly one cell,
         versus a full extra 5-cell gate in a replication-based design."""
         return self.n_excitation_cells + self.n_detection_cells
-
-    def evaluate(self, bits: Sequence[int]) -> Dict[str, DetectionResult]:
-        """Phase-detect both outputs for (I1, ..., I5)."""
-        bits = check_bits(bits)
-        if len(bits) != 5:
-            raise ValueError(f"MAJ5 takes 5 inputs, got {len(bits)}")
-        injections = {name: Wave.logic(bit, self.frequency).envelope
-                      for name, bit in zip(self.input_names, bits)}
-        env = self.network.propagate(injections)
-        if self._reference is None:
-            zeros = self.network.propagate(
-                {n: Wave.logic(0, self.frequency).envelope
-                 for n in self.input_names})
-            self._reference = {
-                o: Wave.from_complex(zeros[o], self.frequency).phase
-                for o in self.output_names}
-        results = {}
-        for name in self.output_names:
-            detector = PhaseDetector(reference_phase=self._reference[name])
-            results[name] = detector.detect_envelope(env[name],
-                                                     self.frequency)
-        return results
-
-    def truth_table(self) -> Dict[Tuple[int, ...], Dict[str, DetectionResult]]:
-        """All 32 input patterns."""
-        return {bits: self.evaluate(bits) for bits in input_patterns(5)}
-
-    def is_functionally_correct(self) -> bool:
-        """MAJ5 on every pattern at both outputs."""
-        for bits, outputs in self.truth_table().items():
-            expected = majority(*bits)
-            if any(r.logic_value != expected for r in outputs.values()):
-                return False
-        return True
 
 
 @dataclass(frozen=True)

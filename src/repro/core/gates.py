@@ -16,17 +16,14 @@ control; ``examples/micromagnetic_interference.py`` shows the pattern.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..fdtd import scalar
 from ..physics.attenuation import LOSSLESS, AttenuationModel
-from ..physics.waves import Wave
 from .calibration import PAPER_ARRIVAL_MODEL, ArrivalModel
-from .detection import DetectionResult, PhaseDetector, ThresholdDetector
+from .detection import GateResult, Readout
 from .fabric import FabricatedGate, build_wave_simulator, fabricate, settle_periods_for
 from .layout import (
     GateDimensions,
@@ -43,69 +40,28 @@ from .logic import (
     majority,
     xor,
 )
-from .network import WaveNetwork, network_from_layout
+from .network import NetworkGate, network_from_layout
 
 
-@dataclass
-class GateResult:
-    """Outcome of one gate evaluation.
-
-    Attributes
-    ----------
-    inputs:
-        The applied input bits, keyed "I1"...
-    outputs:
-        Output name -> :class:`DetectionResult`.
-    expected:
-        The boolean-reference output bit.
-    backend:
-        Which tier produced it.
-    """
-
-    inputs: Dict[str, int]
-    outputs: Dict[str, DetectionResult]
-    expected: int
-    backend: str
-
-    @property
-    def correct(self) -> bool:
-        """True if every output decoded to the reference value."""
-        return all(r.logic_value == self.expected
-                   for r in self.outputs.values())
-
-    @property
-    def fanout_matched(self) -> bool:
-        """True if O1 and O2 agree (the FO2 property)."""
-        values = {r.logic_value for r in self.outputs.values()}
-        return len(values) == 1
-
-
-class _TriangleGateBase:
-    """Shared machinery of the triangle gates (layout, backends, cache)."""
+class _TriangleGateBase(NetworkGate):
+    """A triangle gate: the shared network gate on the layout's graph,
+    plus the FDTD backend on its rasterised geometry."""
 
     def __init__(self, layout: GateLayout, frequency: float,
                  attenuation: AttenuationModel,
-                 junction_transmission: float):
+                 junction_transmission: float, readout: Readout, logic):
+        super().__init__(
+            network_from_layout(layout, frequency, attenuation,
+                                junction_transmission),
+            readout, logic, layout.input_names, layout.output_names)
         self.layout = layout
-        self.frequency = frequency
         self.attenuation = attenuation
         self.junction_transmission = junction_transmission
-        self.network: WaveNetwork = network_from_layout(
-            layout, frequency, attenuation, junction_transmission)
         self._fabricated: Optional[FabricatedGate] = None
         #: inputs driven at phase 0 -> (output envelopes, map or None)
         self._fdtd_basis: Dict[Tuple[str, ...], tuple] = {}
-        self._reference: Dict[str, Dict[str, complex]] = {}
 
     # -- geometry ---------------------------------------------------------------
-
-    @property
-    def input_names(self) -> Sequence[str]:
-        return self.layout.input_names
-
-    @property
-    def output_names(self) -> Sequence[str]:
-        return self.layout.output_names
 
     @property
     def fabricated(self) -> FabricatedGate:
@@ -191,10 +147,7 @@ class _TriangleGateBase:
                          backend: str = "network") -> Dict[str, complex]:
         """Raw complex envelopes at O1/O2 for an input pattern."""
         if backend == "network":
-            env = self.network.propagate({
-                name: Wave.logic(bit, self.frequency).envelope
-                for name, bit in zip(self.input_names, check_bits(bits))})
-            return {name: env[name] for name in self.output_names}
+            return super().output_envelopes(bits)
         if backend == "fdtd":
             return self._fdtd_compose(bits)[0]
         raise ValueError(f"unknown backend {backend!r}; use 'network' or "
@@ -232,47 +185,18 @@ class _TriangleGateBase:
             functional_region="merge-stem-split triangle, paths n*lambda",
             equal_energy_inputs=True)
 
-    def _references(self, backend: str) -> Dict[str, complex]:
-        """All-zeros output envelopes, the detectors' reference."""
-        if backend not in self._reference:
-            self._reference[backend] = self.output_envelopes(
-                (0,) * len(self.input_names), backend)
-        return self._reference[backend]
-
-    def evaluate(self, bits: Sequence[int],
-                 backend: str = "network") -> GateResult:
-        """Apply an input pattern and detect both outputs."""
-        bits = check_bits(bits)
-        if len(bits) != len(self.input_names):
-            raise ValueError(f"{self.layout.kind.upper()} takes "
-                             f"{len(self.input_names)} inputs, "
-                             f"got {len(bits)}")
-        envelopes = self.output_envelopes(bits, backend)
-        references = self._references(backend)
-        outputs = {name: self._detector(references[name]).detect_envelope(
-            env, self.frequency) for name, env in envelopes.items()}
-        return GateResult(inputs=dict(zip(self.input_names, bits)),
-                          outputs=outputs, expected=self._expected(bits),
-                          backend=backend)
-
     def truth_table(self, backend: str = "network"
                     ) -> Dict[Tuple[int, ...], GateResult]:
-        """Evaluate every input pattern."""
+        """Evaluate every input pattern (FDTD: from one basis)."""
         self.solve_basis(backend)
-        return {bits: self.evaluate(bits, backend)
-                for bits in input_patterns(len(self.input_names))}
+        return super().truth_table(backend)
 
     def normalized_output_table(self, backend: str = "network"
                                 ) -> Dict[Tuple[int, ...], Tuple[float, float]]:
         """Output amplitude per pattern, normalised to the all-zeros
         (unanimous) pattern -- Tables I and II."""
-        self.solve_basis(backend)
-        refs = self._references(backend)
-        envs = {bits: self.output_envelopes(bits, backend)
-                for bits in input_patterns(len(self.input_names))}
-        return {bits: tuple(abs(env[name]) / abs(refs[name])
-                            for name in self.output_names)
-                for bits, env in envs.items()}
+        return {bits: tuple(result.normalized.values())
+                for bits, result in self.truth_table(backend).items()}
 
 
 class TriangleMajorityGate(_TriangleGateBase):
@@ -307,21 +231,14 @@ class TriangleMajorityGate(_TriangleGateBase):
                  calibration: Optional[ArrivalModel] = None):
         dims = dimensions if dimensions is not None else \
             paper_maj3_dimensions(invert_output=invert_output)
+        # The inversion is geometric (d4 rule): the half wavelength
+        # flips the arriving phase, and the inverted readout moves the
+        # detector reference back by pi.
         super().__init__(maj3_layout(dims), frequency, attenuation,
-                         junction_transmission)
+                         junction_transmission,
+                         Readout("phase", invert=invert_output), majority)
         self.invert_output = invert_output
         self.calibration = calibration
-
-    def _detector(self, reference: complex) -> PhaseDetector:
-        # The inversion is implemented geometrically (d4 rule): the
-        # half-wavelength of an inverted gate flips the arriving phase
-        # relative to the *non-inverted* reference, so the detector
-        # reference is shifted back by pi.
-        return PhaseDetector(reference_phase=float(np.angle(reference))
-                             - (math.pi if self.invert_output else 0.0))
-
-    def _expected(self, bits: Sequence[int]) -> int:
-        return majority(*bits) ^ int(self.invert_output)
 
     def normalized_output_table(self, backend: str = "network"
                                 ) -> Dict[Tuple[int, ...], Tuple[float, float]]:
@@ -354,17 +271,11 @@ class TriangleXorGate(_TriangleGateBase):
                  junction_transmission: float = 1.0):
         dims = dimensions if dimensions is not None else paper_xor_dimensions()
         super().__init__(xor_layout(dims), frequency, attenuation,
-                         junction_transmission)
+                         junction_transmission,
+                         Readout("threshold", invert=xnor,
+                                 threshold=threshold), xor)
         self.xnor = xnor
         self.threshold = threshold
-
-    def _detector(self, reference: complex) -> ThresholdDetector:
-        return ThresholdDetector(threshold=self.threshold,
-                                 reference_amplitude=abs(reference),
-                                 invert=self.xnor)
-
-    def _expected(self, bits: Sequence[int]) -> int:
-        return xor(*bits) ^ int(self.xnor)
 
 
 class DerivedTriangleGate:
@@ -395,22 +306,28 @@ class DerivedTriangleGate:
     def n_cells(self) -> int:
         return self.majority_gate.n_cells
 
-    def evaluate(self, a: int, b: int,
+    def evaluate(self, bits: Sequence[int],
                  backend: str = "network") -> GateResult:
         """Evaluate the derived function on data bits (a, b).
 
         The triangle's data inputs are I1 and I2; I3 carries the
         control value.
         """
-        return self.majority_gate.evaluate((a, b, self.control_value),
+        bits = check_bits(bits)
+        if len(bits) != 2:
+            raise ValueError(f"{self.function} takes 2 inputs, "
+                             f"got {len(bits)}")
+        return self.majority_gate.evaluate((*bits, self.control_value),
                                            backend=backend)
 
     def truth_table(self, backend: str = "network"
                     ) -> Dict[Tuple[int, int], GateResult]:
         """All four (a, b) patterns."""
         self.majority_gate.solve_basis(backend)
-        return {(a, b): self.evaluate(a, b, backend)
-                for a, b in input_patterns(2)}
+        return {bits: self.evaluate(bits, backend)
+                for bits in input_patterns(2)}
+
+    is_functionally_correct = NetworkGate.is_functionally_correct
 
 
 def paper_table_i_gate() -> TriangleMajorityGate:

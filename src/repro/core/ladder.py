@@ -20,16 +20,14 @@ bookkeeping the Table III energy comparison needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from ..physics.attenuation import LOSSLESS, AttenuationModel
-from ..physics.waves import Wave
-from .detection import DetectionResult, PhaseDetector, ThresholdDetector
+from .detection import Readout
 from .layout import PAPER_WAVELENGTH, segment_length
-from .logic import check_bits, input_patterns, majority, xor
-from .network import WaveNetwork
+from .logic import majority, xor
+from .network import NetworkGate, WaveNetwork
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class LadderDimensions:
                                1, self.wavelength))
 
 
-class LadderMajorityGate:
+class LadderMajorityGate(NetworkGate):
     """FO2 ladder MAJ3 [22]: 3 logical inputs, one replicated -> 4 cells.
 
     Topology (our reconstruction of the ladder of ref. [22]): two
@@ -80,14 +78,14 @@ class LadderMajorityGate:
                  frequency: float = 10e9,
                  attenuation: AttenuationModel = LOSSLESS):
         self.dimensions = dimensions or LadderDimensions()
-        self.frequency = frequency
         self.attenuation = attenuation
-        self.network = self._build_network()
-        self._reference: Optional[Dict[str, float]] = None
+        super().__init__(self._build_network(frequency), Readout("phase"),
+                         majority, ("I1", "I2", "I3"),
+                         transducers={"I3": ("I3a", "I3b")})
 
-    def _build_network(self) -> WaveNetwork:
+    def _build_network(self, frequency: float) -> WaveNetwork:
         d = self.dimensions
-        net = WaveNetwork(self.frequency, d.wavelength, self.attenuation)
+        net = WaveNetwork(frequency, d.wavelength, self.attenuation)
         # Top rail: I1 and I3a interfere at J1, then out to O1.
         net.add_edge("I1", "J1", d.rail_length)
         net.add_edge("I3a", "J1", d.rung_length)
@@ -131,44 +129,8 @@ class LadderMajorityGate:
         f = self.BENT_PATH_EXCITATION_FACTOR
         return {"I1": f, "I2": f, "I3a": 1.0, "I3b": 1.0}
 
-    # -- functional model -----------------------------------------------------------
 
-    def evaluate(self, bits: Sequence[int]) -> Dict[str, DetectionResult]:
-        """Phase-detect both outputs for (I1, I2, I3)."""
-        b1, b2, b3 = check_bits(bits)
-        injections = {
-            "I1": Wave.logic(b1, self.frequency).envelope,
-            "I2": Wave.logic(b2, self.frequency).envelope,
-            "I3a": Wave.logic(b3, self.frequency).envelope,
-            "I3b": Wave.logic(b3, self.frequency).envelope,
-        }
-        env = self.network.propagate(injections)
-        if self._reference is None:
-            zeros = self.network.propagate(
-                {k: Wave.logic(0, self.frequency).envelope
-                 for k in injections})
-            self._reference = {o: Wave.from_complex(
-                zeros[o], self.frequency).phase for o in ("O1", "O2")}
-        out = {}
-        for name in ("O1", "O2"):
-            detector = PhaseDetector(reference_phase=self._reference[name])
-            out[name] = detector.detect_envelope(env[name], self.frequency)
-        return out
-
-    def truth_table(self) -> Dict[Tuple[int, ...], Dict[str, DetectionResult]]:
-        """All 8 input patterns."""
-        return {bits: self.evaluate(bits) for bits in input_patterns(3)}
-
-    def is_functionally_correct(self) -> bool:
-        """Check MAJ3 behaviour on every pattern at both outputs."""
-        for bits, outputs in self.truth_table().items():
-            expected = majority(*bits)
-            if any(r.logic_value != expected for r in outputs.values()):
-                return False
-        return True
-
-
-class LadderXorGate:
+class LadderXorGate(NetworkGate):
     """FO2 ladder XOR [23]: 2 logical inputs, both replicated -> 4 cells.
 
     Per Table III of the paper the ladder XOR also uses 6 cells total
@@ -182,15 +144,15 @@ class LadderXorGate:
                  attenuation: AttenuationModel = LOSSLESS,
                  threshold: float = 0.5):
         self.dimensions = dimensions or LadderDimensions()
-        self.frequency = frequency
         self.attenuation = attenuation
-        self.threshold = threshold
-        self.network = self._build_network()
-        self._reference: Optional[Dict[str, float]] = None
+        super().__init__(self._build_network(frequency),
+                         Readout("threshold", threshold=threshold), xor,
+                         ("I1", "I2"), transducers={"I1": ("I1a", "I1b"),
+                                                    "I2": ("I2a", "I2b")})
 
-    def _build_network(self) -> WaveNetwork:
+    def _build_network(self, frequency: float) -> WaveNetwork:
         d = self.dimensions
-        net = WaveNetwork(self.frequency, d.wavelength, self.attenuation)
+        net = WaveNetwork(frequency, d.wavelength, self.attenuation)
         for rail, (a, b) in (("J1", ("I1a", "I2a")), ("J2", ("I1b", "I2b"))):
             net.add_edge(a, rail, d.rail_length)
             net.add_edge(b, rail, d.rung_length)
@@ -212,39 +174,4 @@ class LadderXorGate:
 
     @property
     def requires_unequal_excitation(self) -> bool:
-        return True
-
-    def evaluate(self, bits: Sequence[int]) -> Dict[str, DetectionResult]:
-        """Threshold-detect both outputs for (I1, I2)."""
-        b1, b2 = check_bits(bits)
-        injections = {
-            "I1a": Wave.logic(b1, self.frequency).envelope,
-            "I1b": Wave.logic(b1, self.frequency).envelope,
-            "I2a": Wave.logic(b2, self.frequency).envelope,
-            "I2b": Wave.logic(b2, self.frequency).envelope,
-        }
-        env = self.network.propagate(injections)
-        if self._reference is None:
-            zeros = self.network.propagate(
-                {k: Wave.logic(0, self.frequency).envelope
-                 for k in injections})
-            self._reference = {o: abs(zeros[o]) for o in ("O1", "O2")}
-        out = {}
-        for name in ("O1", "O2"):
-            detector = ThresholdDetector(
-                threshold=self.threshold,
-                reference_amplitude=self._reference[name])
-            out[name] = detector.detect_envelope(env[name], self.frequency)
-        return out
-
-    def truth_table(self) -> Dict[Tuple[int, ...], Dict[str, DetectionResult]]:
-        """All 4 input patterns."""
-        return {bits: self.evaluate(bits) for bits in input_patterns(2)}
-
-    def is_functionally_correct(self) -> bool:
-        """Check XOR behaviour on every pattern at both outputs."""
-        for bits, outputs in self.truth_table().items():
-            expected = xor(*bits)
-            if any(r.logic_value != expected for r in outputs.values()):
-                return False
         return True

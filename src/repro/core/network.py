@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..physics.attenuation import LOSSLESS, AttenuationModel
-from ..physics.waves import Wave, superpose
+from ..physics.waves import Wave
+from .detection import GateResult, Readout, decode, normalized_levels
 from .layout import GateLayout
+from .logic import check_bits, input_patterns
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,8 @@ class WaveNetwork:
 
 def network_from_layout(layout: GateLayout, frequency: float,
                         attenuation: AttenuationModel = LOSSLESS,
-                        junction_transmission: float = 1.0) -> WaveNetwork:
+                        junction_transmission: float = 1.0,
+                        wavelength: Optional[float] = None) -> WaveNetwork:
     """Build the propagation graph of a triangle-gate layout.
 
     Edges follow the physical wave flow of Section III-A:
@@ -181,11 +184,91 @@ def network_from_layout(layout: GateLayout, frequency: float,
     ``junction_transmission`` is applied to every edge leaving a
     junction node (M, C, K1, K2): it models the scattering/insertion
     loss of a waveguide junction; 1.0 gives the ideal textbook gate.
+    ``wavelength`` overrides the design wavelength: a frequency channel
+    away from the design point propagates with its own.
     """
-    net = WaveNetwork(frequency, layout.dimensions.wavelength, attenuation)
+    net = WaveNetwork(frequency, wavelength or layout.dimensions.wavelength,
+                      attenuation)
     junction_nodes = {"M", "C", "K1", "K2"}
     for seg in layout.segments:
         transmission = (junction_transmission
                         if seg.start_node in junction_nodes else 1.0)
         net.add_edge(seg.start_node, seg.end_node, seg.length, transmission)
     return net
+
+
+class NetworkGate:
+    """A gate read on its propagation graph.
+
+    A gate is three things: its ``network`` (graph), its ``transducers``
+    map (input name -> the excitation cells it drives, for inputs that
+    drive other cells than their own, such as the ladder's I3 -> I3a,
+    I3b) and its ``logic`` function.  Everything else -- the all-zeros
+    reference, the detection, the :class:`GateResult` and the truth
+    table -- is shared.  The ``readout``'s ``invert`` inverts ``logic``
+    too (NMAJ, XNOR).
+    """
+
+    def __init__(self, network: WaveNetwork, readout: Readout,
+                 logic: Callable[..., int], input_names: Sequence[str],
+                 output_names: Sequence[str] = ("O1", "O2"),
+                 transducers: Optional[Mapping[str, Sequence[str]]] = None):
+        self.network = network
+        self.frequency = network.frequency
+        self.readout = readout
+        self.logic = logic
+        self.input_names = list(input_names)
+        self.output_names = list(output_names)
+        self.transducers = dict(transducers or {})
+        #: backend -> all-zeros output envelopes (the detectors' reference)
+        self._reference: Dict[str, Dict[str, complex]] = {}
+
+    def output_envelopes(self, bits: Sequence[int],
+                         backend: str = "network") -> Dict[str, complex]:
+        """Raw complex envelopes at the outputs for an input pattern."""
+        if backend != "network":
+            raise ValueError(f"unknown backend {backend!r}; "
+                             f"{type(self).__name__} has only 'network'")
+        injections = {}
+        for name, bit in zip(self.input_names, check_bits(bits)):
+            envelope = Wave.logic(bit, self.frequency).envelope
+            for cell in self.transducers.get(name, (name,)):
+                injections[cell] = envelope
+        env = self.network.propagate(injections)
+        return {name: env[name] for name in self.output_names}
+
+    def _references(self, backend: str) -> Dict[str, complex]:
+        """All-zeros output envelopes, computed once per backend."""
+        if backend not in self._reference:
+            self._reference[backend] = self.output_envelopes(
+                (0,) * len(self.input_names), backend)
+        return self._reference[backend]
+
+    def evaluate(self, bits: Sequence[int],
+                 backend: str = "network") -> GateResult:
+        """Apply an input pattern and detect every output."""
+        bits = check_bits(bits)
+        if len(bits) != len(self.input_names):
+            raise ValueError(f"{type(self).__name__} takes "
+                             f"{len(self.input_names)} inputs, "
+                             f"got {len(bits)}")
+        envelopes = self.output_envelopes(bits, backend)
+        references = self._references(backend)
+        return GateResult(
+            inputs=dict(zip(self.input_names, bits)),
+            outputs=decode(self.readout, envelopes, references,
+                           self.frequency),
+            expected=self.logic(*bits) ^ int(self.readout.invert),
+            backend=backend,
+            normalized=normalized_levels(envelopes, references))
+
+    def truth_table(self, backend: str = "network"
+                    ) -> Dict[Tuple[int, ...], GateResult]:
+        """Evaluate every input pattern."""
+        return {bits: self.evaluate(bits, backend)
+                for bits in input_patterns(len(self.input_names))}
+
+    def is_functionally_correct(self, backend: str = "network") -> bool:
+        """True if every pattern decodes correctly at every output."""
+        return all(result.correct
+                   for result in self.truth_table(backend).values())

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..physics.attenuation import LOSSLESS, AttenuationModel
 from ..physics.dispersion import DispersionRelation
-from ..physics.waves import Wave
-from .detection import DetectionResult, PhaseDetector
+from .detection import GateResult, Readout
 from .layout import GateDimensions, maj3_layout, paper_maj3_dimensions
-from .logic import check_bits, majority
-from .network import WaveNetwork
+from .logic import majority
+from .network import NetworkGate, network_from_layout
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,15 @@ class ParallelMajorityGate:
                               + self.dimensions.d4)
         self.channels = self._build_channels(
             n_channels, centre_frequency, channel_spacing, margin_budget)
-        self._networks = {
-            ch.index: self._network_for(ch) for ch in self.channels}
-        self._references: Dict[int, Dict[str, float]] = {}
+        #: One MAJ3 per channel, on the shared geometry at the channel's
+        #: own frequency and wavelength.
+        self.channel_gates = [
+            NetworkGate(network_from_layout(self.layout, ch.frequency,
+                                            attenuation,
+                                            wavelength=ch.wavelength),
+                        Readout("phase"), majority, self.layout.input_names,
+                        self.layout.output_names)
+            for ch in self.channels]
 
     def _build_channels(self, n: int, f0: float, spacing: float,
                         budget: float) -> List[Channel]:
@@ -111,27 +116,11 @@ class ParallelMajorityGate:
                                     worst_phase_error=phase_error))
         return channels
 
-    def _network_for(self, channel: Channel) -> WaveNetwork:
-        net = WaveNetwork(channel.frequency, channel.wavelength,
-                          self.attenuation)
-        d = self.dimensions
-        net.add_edge("I1", "M", d.d1)
-        net.add_edge("I2", "M", d.d1)
-        net.add_edge("M", "C", d.stem)
-        net.add_edge("C", "K1", d.d1)
-        net.add_edge("C", "K2", d.d1)
-        net.add_edge("I3", "K1", d.d2)
-        net.add_edge("I3", "K2", d.d2)
-        net.add_edge("K1", "O1", d.d3 + d.d4)
-        net.add_edge("K2", "O2", d.d3 + d.d4)
-        return net
-
     @property
     def n_channels(self) -> int:
         return len(self.channels)
 
-    def evaluate(self, words: Sequence[Sequence[int]]
-                 ) -> List[Dict[str, DetectionResult]]:
+    def evaluate(self, words: Sequence[Sequence[int]]) -> List[GateResult]:
         """Evaluate one MAJ3 per channel, all concurrently.
 
         Parameters
@@ -142,39 +131,15 @@ class ParallelMajorityGate:
         Returns
         -------
         list
-            Per-channel ``{"O1": DetectionResult, "O2": ...}``.
+            One :class:`GateResult` per channel.
         """
         if len(words) != self.n_channels:
             raise ValueError(f"expected {self.n_channels} bit triples, "
                              f"got {len(words)}")
-        results = []
-        for channel, bits in zip(self.channels, words):
-            bits = check_bits(bits)
-            if len(bits) != 3:
-                raise ValueError("each channel takes 3 bits")
-            net = self._networks[channel.index]
-            injections = {
-                f"I{i + 1}": Wave.logic(b, channel.frequency).envelope
-                for i, b in enumerate(bits)}
-            env = net.propagate(injections)
-            refs = self._reference_for(channel)
-            results.append({
-                name: PhaseDetector(reference_phase=refs[name])
-                .detect_envelope(env[name], channel.frequency)
-                for name in ("O1", "O2")})
-        return results
-
-    def _reference_for(self, channel: Channel) -> Dict[str, float]:
-        if channel.index not in self._references:
-            net = self._networks[channel.index]
-            zeros = net.propagate({
-                f"I{i + 1}": Wave.logic(0, channel.frequency).envelope
-                for i in range(3)})
-            self._references[channel.index] = {
-                name: Wave.from_complex(zeros[name],
-                                        channel.frequency).phase
-                for name in ("O1", "O2")}
-        return self._references[channel.index]
+        if any(len(bits) != 3 for bits in words):
+            raise ValueError("each channel takes 3 bits")
+        return [gate.evaluate(bits)
+                for gate, bits in zip(self.channel_gates, words)]
 
     def evaluate_word(self, a: int, b: int, c: int) -> Tuple[int, int, int]:
         """Bitwise MAJ of three n-bit integers, one gate pass.
@@ -189,8 +154,10 @@ class ParallelMajorityGate:
         words = [((a >> i) & 1, (b >> i) & 1, (c >> i) & 1)
                  for i in range(n)]
         outputs = self.evaluate(words)
-        o1 = sum(out["O1"].logic_value << i for i, out in enumerate(outputs))
-        o2 = sum(out["O2"].logic_value << i for i, out in enumerate(outputs))
+        o1 = sum(out.outputs["O1"].logic_value << i
+                 for i, out in enumerate(outputs))
+        o2 = sum(out.outputs["O2"].logic_value << i
+                 for i, out in enumerate(outputs))
         return o1, o1, o2
 
     def throughput_gain(self) -> float:

@@ -14,6 +14,10 @@ from typing import Optional
 #: Result-cache directory, relative to the working directory.
 DEFAULT_CACHE_ROOT = ".repro_cache"
 
+#: Silence (no heartbeat, no result) after which the cluster
+#: coordinator declares a worker dead and reschedules its jobs [s].
+DEFAULT_HEARTBEAT_TIMEOUT = 3.0
+
 #: The gates a gate case can name, with their input counts.
 GATE_ARITY = {"maj3": 3, "xor": 2}
 

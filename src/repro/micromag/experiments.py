@@ -21,9 +21,10 @@ benches and the examples:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -454,21 +455,10 @@ def _evaluate_model_tier(gate: str, bits: Tuple[int, ...], tier: str,
     result = instance.evaluate(bits, backend=tier)
     if (gate == "maj3" and instance.calibration is not None
             and tier == "network"):
-        normalized = (instance.calibration.normalized_output(bits),) * 2
-    else:
-        zeros = instance.output_envelopes((0,) * len(bits), tier)
-        env = instance.output_envelopes(bits, tier)
-        normalized = tuple(
-            abs(env[name]) / abs(zeros[name])
-            for name in instance.output_names)
-    outputs = {
-        name: {"logic": det.logic_value, "amplitude": det.amplitude,
-               "phase": det.phase, "margin": det.margin}
-        for name, det in result.outputs.items()}
+        result.normalized = dict.fromkeys(
+            result.outputs, instance.calibration.normalized_output(bits))
     return {"gate": gate, "tier": tier, "bits": list(bits),
-            "outputs": outputs, "normalized": list(normalized),
-            "expected": result.expected, "correct": result.correct,
-            "fanout_matched": result.fanout_matched}
+            **result.record()}
 
 
 def run_fdtd_basis(gate: str, input_name: str,
@@ -546,7 +536,12 @@ def _evaluate_llg_tier(gate: str, bits: Tuple[int, ...], expected: int,
     runs; ``dt`` overrides the experiment's integrator step (the
     dt-halving remediation knob).
     """
-    from ..core.detection import PhaseDetector, ThresholdDetector
+    from ..core.detection import (
+        GATE_READOUTS,
+        GateResult,
+        decode,
+        normalized_levels,
+    )
     from ..resilience.guardrails import MagnetisationWatchdog
     from .fields.thermal import seed_from_key
     from .gate_experiment import scaled_maj3_experiment, scaled_xor_experiment
@@ -572,28 +567,18 @@ def _evaluate_llg_tier(gate: str, bits: Tuple[int, ...], expected: int,
         (0,) * len(bits), watchdog=MagnetisationWatchdog())
     case = build().run_case(bits, watchdog=MagnetisationWatchdog())
 
-    outputs: Dict[str, Dict[str, float]] = {}
-    normalized: List[float] = []
-    for name in sorted(case.amplitudes):
-        env = case.amplitudes[name] * np.exp(1j * case.phases[name])
-        if gate == "maj3":
-            detector = PhaseDetector(reference_phase=reference.phases[name])
-        else:
-            detector = ThresholdDetector(
-                reference_amplitude=reference.amplitudes[name])
-        det = detector.detect_envelope(env, frequency)
-        outputs[name] = {"logic": det.logic_value,
-                         "amplitude": case.amplitudes[name],
-                         "phase": case.phases[name], "margin": det.margin}
-        normalized.append(case.amplitudes[name]
-                          / max(reference.amplitudes[name], 1e-30))
-    logic_values = {o["logic"] for o in outputs.values()}
+    names = sorted(case.amplitudes)
+    envelopes, references = (
+        {name: cmath.rect(run.amplitudes[name], run.phases[name])
+         for name in names} for run in (case, reference))
+    result = GateResult(
+        inputs={f"I{i + 1}": bit for i, bit in enumerate(bits)},
+        outputs=decode(GATE_READOUTS[gate], envelopes, references,
+                       frequency),
+        expected=expected, backend="llg",
+        normalized=normalized_levels(envelopes, references))
     return {"gate": gate, "tier": "llg", "bits": list(bits),
-            "outputs": outputs, "normalized": normalized,
-            "expected": expected,
-            "correct": all(o["logic"] == expected
-                           for o in outputs.values()),
-            "fanout_matched": len(logic_values) == 1}
+            **result.record()}
 
 
 @dataclass

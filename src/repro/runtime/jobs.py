@@ -62,8 +62,9 @@ def phase_noise_error_rate(sigma: float, n_trials: int = 200,
 
     Bits are encoded as {0, pi} input phases with Gaussian noise of
     standard deviation ``sigma`` [rad]; every pattern is decoded
-    ``n_trials`` times through the triangle network and the fraction of
-    wrong O1 decisions is returned.
+    ``n_trials`` times through the triangle network against the gate's
+    all-zeros reference, and the fraction of wrong O1 decisions is
+    returned.
 
     The default seed is derived deterministically from the job's own
     parameters (:func:`repro.micromag.fields.thermal.seed_from_key`),
@@ -72,8 +73,9 @@ def phase_noise_error_rate(sigma: float, n_trials: int = 200,
     """
     import numpy as np
 
-    from ..core import PhaseDetector, TriangleMajorityGate
-    from ..core.logic import input_patterns, majority
+    from ..core import TriangleMajorityGate
+    from ..core.detection import decode
+    from ..core.logic import input_patterns
     from ..micromag.fields.thermal import seed_from_key
     from ..physics import Wave
 
@@ -81,20 +83,20 @@ def phase_noise_error_rate(sigma: float, n_trials: int = 200,
         seed = seed_from_key(f"phase-noise:sigma={sigma!r}:n={n_trials}")
     rng = np.random.default_rng(seed)
     gate = TriangleMajorityGate()
-    detector = PhaseDetector()
+    reference = gate.output_envelopes((0, 0, 0))
     errors = 0
     total = 0
-    for bits in input_patterns(3):
-        expected = majority(*bits)
+    for bits, result in gate.truth_table().items():
         for _ in range(n_trials):
             injections = {}
-            for name, bit in zip(("I1", "I2", "I3"), bits):
+            for name, bit in zip(gate.input_names, bits):
                 phase = (math.pi if bit else 0.0) + rng.normal(0.0, sigma)
                 injections[name] = Wave(1.0, phase,
                                         gate.frequency).envelope
             env = gate.network.propagate(injections)
-            decoded = detector.detect_envelope(env["O1"], gate.frequency)
-            errors += decoded.logic_value != expected
+            decoded = decode(gate.readout, {"O1": env["O1"]}, reference,
+                             gate.frequency)["O1"]
+            errors += decoded.logic_value != result.expected
             total += 1
     return {"sigma": float(sigma), "n_trials": int(n_trials),
             "seed": int(seed), "error_rate": errors / total}

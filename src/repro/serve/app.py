@@ -72,7 +72,11 @@ SPAN_FLUSH_INTERVAL = 5.0   # background span-drain period [s]
 
 
 class BadRequest(Exception):
-    """Client error; maps to a 400 response with the message."""
+    """Client error; maps to a 400 response with the message.  A reader
+    error names the request's method and path once they were parsed."""
+
+    method: Optional[str] = None
+    path: Optional[str] = None
 
 
 class AccessLog:
@@ -157,31 +161,35 @@ async def _parse_request(
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise BadRequest("malformed request line")
     method, target, version = parts
-    headers: Dict[str, str] = {}
-    for _ in range(MAX_HEADERS + 1):
-        line = await _read_line(reader, "header line")
-        if line in (b"\r\n", b"\n", b""):
-            break
-        if len(headers) >= MAX_HEADERS:
-            raise BadRequest("too many headers")
-        name, sep, value = line.decode("latin-1").partition(":")
-        if not sep:
-            raise BadRequest("malformed header")
-        headers[name.strip().lower()] = value.strip()
-    length_text = headers.get("content-length", "0")
-    # Decimal digits only: int() would also take "-5", "+5", "1_0".
-    if not (length_text.isascii() and length_text.isdigit()):
-        raise BadRequest(f"bad Content-Length {length_text!r}")
-    digits = length_text.lstrip("0") or "0"
-    # Count digits first: int() refuses strings over 4300 digits long.
-    length = (int(digits) if len(digits) <= len(str(MAX_BODY))
-              else MAX_BODY + 1)
-    if length > MAX_BODY:
-        raise BadRequest(f"body too large ({length_text} bytes)")
-    body = await reader.readexactly(length) if length else b""
+    path = target.split("?", 1)[0]
+    try:
+        headers: Dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = await _read_line(reader, "header line")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(headers) >= MAX_HEADERS:
+                raise BadRequest("too many headers")
+            name, sep, value = line.decode("latin-1").partition(":")
+            if not sep:
+                raise BadRequest("malformed header")
+            headers[name.strip().lower()] = value.strip()
+        length_text = headers.get("content-length", "0")
+        # Decimal digits only: int() would also take "-5", "+5", "1_0".
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise BadRequest(f"bad Content-Length {length_text!r}")
+        digits = length_text.lstrip("0") or "0"
+        # Count digits first: int() refuses strings over 4300 digits long.
+        length = (int(digits) if len(digits) <= len(str(MAX_BODY))
+                  else MAX_BODY + 1)
+        if length > MAX_BODY:
+            raise BadRequest(f"body too large ({length_text} bytes)")
+        body = await reader.readexactly(length) if length else b""
+    except BadRequest as exc:
+        exc.method, exc.path = method, path
+        raise
     headers["_http_version"] = version
-    return _Request(method=method, path=target.split("?", 1)[0],
-                    headers=headers, body=body)
+    return _Request(method=method, path=path, headers=headers, body=body)
 
 
 class GateService:
@@ -249,8 +257,9 @@ class GateService:
         self._started = time.time()
         # Own the observer unless the caller (e.g. ``--trace``) already
         # attached one; owning it means metrics like cache.hit are live
-        # on /metrics and spans are flushed periodically so a
-        # long-lived server's collector cannot grow without bound.
+        # on /metrics.  Spans go to the trace file every
+        # SPAN_FLUSH_INTERVAL, or without one are dropped as each
+        # request is answered, so the collector cannot grow.
         self._own_observer = not obs.enabled()
         if self._own_observer:
             obs.enable()
@@ -309,8 +318,7 @@ class GateService:
 
     def _flush_spans(self, final: bool = False) -> None:
         """Bound the span collector: persist to the trace file if one
-        is configured, else discard.  Without this an always-on
-        observer would accumulate spans forever."""
+        is configured, else discard."""
         if not self._own_observer:
             return  # the enabling caller owns span collection
         spans = obs.drain_spans()
@@ -343,11 +351,12 @@ class GateService:
                 asyncio.TimeoutError):
             pass  # client went away or idled out: routine
         except BadRequest as exc:
+            # A reader 400 is answered and accounted like any other.
             try:
-                self._write_response(
-                    writer, HTTPStatus.BAD_REQUEST,
-                    self._json_body({"error": str(exc)}), keep_alive=False)
-                await writer.drain()
+                await self._dispatch(
+                    _Request(method=exc.method, path=exc.path,
+                             headers={"connection": "close"}, body=b""),
+                    writer, client, error=exc)
             except ConnectionError:
                 pass
         finally:
@@ -360,8 +369,10 @@ class GateService:
     # -- dispatch -----------------------------------------------------------
 
     async def _dispatch(self, request: _Request,
-                        writer: "asyncio.StreamWriter",
-                        client: str) -> bool:
+                        writer: "asyncio.StreamWriter", client: str,
+                        error: Optional[BadRequest] = None) -> bool:
+        """Route, answer and account one request; ``error`` is a reader
+        error to answer as this request's 400."""
         t0 = time.perf_counter()
         request_id = request.headers.get("x-request-id",
                                          os.urandom(8).hex())
@@ -374,6 +385,8 @@ class GateService:
         with obs.span("serve.request", method=request.method,
                       path=request.path, request_id=request_id):
             try:
+                if error is not None:
+                    raise error
                 handler = self._routes.get((request.method, request.path))
                 if handler is None:
                     if any(path == request.path
@@ -423,6 +436,8 @@ class GateService:
                 status = HTTPStatus.INTERNAL_SERVER_ERROR
                 body = self._json_body(
                     {"error": f"{type(exc).__name__}: {exc}"})
+        if not self.config.trace:
+            self._flush_spans()  # no trace file: keep no spans
 
         duration_ms = (time.perf_counter() - t0) * 1e3
         # The request id doubles as the latency exemplar: a slow bucket

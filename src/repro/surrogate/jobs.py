@@ -94,8 +94,7 @@ def characterize_point(gate: str, tier: str = "network",
     """
     import numpy as np
 
-    from ..core.detection import PhaseDetector, ThresholdDetector
-    from ..core.logic import input_patterns, majority, xor as xor_fn
+    from ..core.detection import decode
     from ..micromag.experiments import gate_arity
     from ..micromag.fields.thermal import seed_from_key
     from ..physics import Wave
@@ -114,51 +113,40 @@ def characterize_point(gate: str, tier: str = "network",
             f":T={temperature!r}:n={int(n_trials)}")
     rng = np.random.default_rng(seed)
 
-    instance.solve_basis(tier)  # FDTD: n solves compose all 2^n patterns
+    results = instance.truth_table(tier)  # FDTD: n solves, 2^n patterns
     zeros = instance.output_envelopes((0,) * arity, tier)
     names = sorted(zeros)
-    detectors: Dict[str, Any] = {}
-    for name in names:
-        if gate == "maj3":
-            detectors[name] = PhaseDetector(
-                reference_phase=float(np.angle(zeros[name])))
-        else:
-            detectors[name] = ThresholdDetector(
-                reference_amplitude=abs(zeros[name]))
-    expected_fn = majority if gate == "maj3" else xor_fn
-
     patterns: Dict[str, Dict[str, Any]] = {}
     margins = []
-    for bits in input_patterns(arity):
+    for bits, result in results.items():
         envs = instance.output_envelopes(bits, tier)
-        expected = expected_fn(*bits)
         row: Dict[str, Any] = {}
         for name in names:
             env = complex(envs[name])
-            det = detectors[name].detect_envelope(env, frequency)
+            det = result.outputs[name]
             row[name] = {"re": env.real, "im": env.imag,
                          "margin": float(det.margin),
                          "logic": int(det.logic_value)}
             margins.append(float(det.margin))
-        row["correct"] = all(row[name]["logic"] == expected
-                             for name in names)
+        row["correct"] = result.correct
         patterns["".join(map(str, bits))] = row
 
     sigma = math.hypot(float(phase_noise), thermal_phase_sigma(temperature))
     errors = 0
     total = 0
-    for bits in input_patterns(arity):
-        expected = expected_fn(*bits)
+    for bits, result in results.items():
         for _ in range(max(0, int(n_trials))):
             injections = {}
             for name, bit in zip(instance.input_names, bits):
                 phase = (math.pi if bit else 0.0) + rng.normal(0.0, sigma)
                 injections[name] = Wave(1.0, phase, frequency).envelope
             env = instance.network.propagate(injections)
-            for out in names:
-                det = detectors[out].detect_envelope(env[out], frequency)
-                errors += det.logic_value != expected
-                total += 1
+            decoded = decode(instance.readout,
+                             {out: env[out] for out in names}, zeros,
+                             frequency)
+            errors += sum(det.logic_value != result.expected
+                          for det in decoded.values())
+            total += len(names)
     if total:
         error_rate = errors / total
     else:  # n_trials = 0: fall back to the noiseless decodes

@@ -36,18 +36,23 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 import time
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .. import obs
+from ..core.detection import (
+    GATE_READOUTS,
+    DetectionResult,
+    GateResult,
+    decode,
+    normalized_levels,
+)
+from ..core.logic import majority, xor as xor_fn
 from ..errors import SurrogateDomainError
 from ..runtime.cache import atomic_write
 from .jobs import AXIS_NAMES
-
-_TWO_PI = 2.0 * math.pi
 
 #: Responses appended after the per-(pattern, output) triples.
 _SCALAR_RESPONSES = ("error_rate", "min_margin")
@@ -152,52 +157,38 @@ class _SurrogateBase:
         detection semantics as the real tiers, so a surrogate answer
         and a network answer agree wherever the fit is faithful.
         """
-        from ..core.logic import majority, xor as xor_fn
-
         key = "".join(str(int(b)) for b in bits)
         slots = self._case_slots.get(key)
         if slots is None:
             raise ValueError(f"pattern {key!r} is not part of the "
                              f"characterized truth table of {self.gate}")
-        vector = self.query(point or {})
-        is_maj = self.gate == "maj3"
-        outputs: Dict[str, Dict[str, float]] = {}
-        normalized: List[float] = []
-        logic_values = []
+        vector = self.query(point or {}).tolist()
+        envelopes, references, margins = {}, {}, {}
         for name, i_re, i_im, i_margin, i_zre, i_zim in slots:
-            re = float(vector[i_re])
-            im = float(vector[i_im])
-            amplitude = math.hypot(re, im)
-            phase = math.atan2(im, re)
-            ref_re = float(vector[i_zre])
-            ref_im = float(vector[i_zim])
-            ref_amplitude = math.hypot(ref_re, ref_im)
-            level = amplitude / max(ref_amplitude, 1e-30)
-            if is_maj:
-                delta = (phase - math.atan2(ref_im, ref_re)) % _TWO_PI
-                distance = min(delta, _TWO_PI - delta)
-                logic = 0 if distance <= math.pi / 2.0 else 1
-            else:
-                # XOR convention: amplitude above threshold decodes 0.
-                logic = 0 if level >= 0.5 else 1
-            logic_values.append(logic)
-            normalized.append(level)
-            outputs[name] = {"logic": logic, "amplitude": amplitude,
-                             "phase": phase,
-                             "margin": float(vector[i_margin])}
-        expected = majority(*bits) if is_maj else xor_fn(*bits)
+            envelopes[name] = complex(vector[i_re], vector[i_im])
+            references[name] = complex(vector[i_zre], vector[i_zim])
+            margins[name] = vector[i_margin]
+        # Each output keeps its interpolated margin, not one recomputed
+        # from the interpolated envelopes.
+        outputs = {name: DetectionResult(r.logic_value, r.amplitude, r.phase,
+                                         margins[name])
+                   for name, r in decode(GATE_READOUTS[self.gate],
+                                         envelopes, references).items()}
+        bits = [int(b) for b in bits]
+        result = GateResult(
+            inputs={f"I{i + 1}": bit for i, bit in enumerate(bits)},
+            outputs=outputs,
+            expected=(majority if self.gate == "maj3" else xor_fn)(*bits),
+            backend="surrogate",
+            normalized=normalized_levels(envelopes, references))
         return {
-            "gate": self.gate, "tier": "surrogate",
-            "bits": [int(b) for b in bits],
-            "outputs": outputs, "normalized": normalized,
-            "expected": expected,
-            "correct": all(v == expected for v in logic_values),
-            "fanout_matched": len(set(logic_values)) == 1,
+            "gate": self.gate, "tier": "surrogate", "bits": bits,
+            **result.record(),
             "surrogate": {
                 "source_tier": self.tier,
                 "dataset": self.meta.get("dataset_id"),
-                "error_rate": float(vector[self._error_rate_idx]),
-                "min_margin": float(vector[self._min_margin_idx]),
+                "error_rate": vector[self._error_rate_idx],
+                "min_margin": vector[self._min_margin_idx],
             },
         }
 

@@ -19,8 +19,9 @@ class TestMajority5:
 
     def test_every_pattern_fanout_matched(self):
         gate = TriangleMajority5Gate()
-        for bits, outputs in gate.truth_table().items():
-            assert outputs["O1"].logic_value == outputs["O2"].logic_value
+        for bits, result in gate.truth_table().items():
+            assert result.outputs["O1"].logic_value \
+                == result.outputs["O2"].logic_value
 
     def test_cell_economy(self):
         # One extra cell per extra input: 5 + 2 = 7.
@@ -44,7 +45,7 @@ class TestMajority5:
     @settings(max_examples=32, deadline=None)
     def test_matches_reference_majority(self, bits):
         gate = TriangleMajority5Gate()
-        outputs = gate.evaluate(bits)
+        outputs = gate.evaluate(bits).outputs
         assert outputs["O1"].logic_value == majority(*bits)
 
     def test_survives_attenuation(self):

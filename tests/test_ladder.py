@@ -12,10 +12,10 @@ class TestLadderMajority:
 
     def test_truth_table_per_output(self):
         gate = LadderMajorityGate()
-        for bits, outputs in gate.truth_table().items():
+        for bits, result in gate.truth_table().items():
             expected = majority(*bits)
-            assert outputs["O1"].logic_value == expected
-            assert outputs["O2"].logic_value == expected
+            assert result.outputs["O1"].logic_value == expected
+            assert result.outputs["O2"].logic_value == expected
 
     def test_cell_count_is_six(self):
         # Table III: the ladder uses 6 cells (4 excite + 2 detect).
@@ -43,10 +43,10 @@ class TestLadderXor:
 
     def test_truth_table_per_output(self):
         gate = LadderXorGate()
-        for bits, outputs in gate.truth_table().items():
+        for bits, result in gate.truth_table().items():
             expected = xor(*bits)
-            assert outputs["O1"].logic_value == expected
-            assert outputs["O2"].logic_value == expected
+            assert result.outputs["O1"].logic_value == expected
+            assert result.outputs["O2"].logic_value == expected
 
     def test_cell_count_is_six(self):
         gate = LadderXorGate()

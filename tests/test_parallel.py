@@ -35,6 +35,12 @@ class TestConstruction:
         lams = [c.wavelength for c in gate4.channels]
         assert lams == sorted(lams, reverse=True)
 
+    def test_each_channel_propagates_at_its_own_wavelength(self, gate4):
+        assert [g.network.wavelength for g in gate4.channel_gates] \
+            == [c.wavelength for c in gate4.channels]
+        assert [g.frequency for g in gate4.channel_gates] \
+            == [c.frequency for c in gate4.channels]
+
     def test_margin_budget_enforced(self, dispersion):
         with pytest.raises(ValueError, match="de-tunes"):
             ParallelMajorityGate(dispersion, n_channels=16,
@@ -55,9 +61,9 @@ class TestEvaluation:
     def test_each_channel_computes_majority(self, gate4):
         words = [(0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 0, 1)]
         results = gate4.evaluate(words)
-        for bits, outputs in zip(words, results):
-            assert outputs["O1"].logic_value == majority(*bits)
-            assert outputs["O2"].logic_value == majority(*bits)
+        for bits, result in zip(words, results):
+            assert result.outputs["O1"].logic_value == majority(*bits)
+            assert result.outputs["O2"].logic_value == majority(*bits)
 
     def test_word_count_enforced(self, gate4):
         with pytest.raises(ValueError, match="expected 4"):

@@ -258,3 +258,47 @@ class TestHttpRejects:
         assert reply == b""  # closed without a response
         assert time.monotonic() - t0 < 5.0
         assert ServeClient(server.base_url).health()["status"] == "ok"
+
+
+def _counter(text, name):
+    """A Prometheus counter's value; an absent counter is 0."""
+    for line in text.splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
+
+
+class TestReaderErrorsAccounted:
+    def test_reader_400s_are_logged_and_counted(self, tmp_path):
+        log = tmp_path / "access.jsonl"
+        with ServerThread(ServeConfig(port=0, access_log=str(log),
+                                      cache_dir=str(tmp_path / "c"))) as srv:
+            for raw in (b"POST /v1/gate?x=1 HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Length: -1\r\n\r\n",
+                        b"NONSENSE\r\n\r\n"):
+                reply = _exchange(srv.port, raw)
+                assert reply.startswith(b"HTTP/1.1 400 "), reply
+                assert b"Connection: close" in reply
+            text = ServeClient(srv.base_url).metrics()
+        # Both 400s and the /metrics request itself.
+        assert _counter(text, "repro_serve_requests_total") == 3
+        assert _counter(text, "repro_serve_http_4xx_total") == 2
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        bad = [r for r in records if r["status"] == 400]
+        assert [(r["method"], r["path"]) for r in bad] \
+            == [("POST", "/v1/gate"), (None, None)]
+        assert all(r["request_id"] and r["bytes_out"] > 0 for r in bad)
+
+
+class TestSpanCollector:
+    def test_no_spans_held_without_a_trace_file(self, server):
+        client = ServeClient(server.base_url)
+        assert client.gate("maj3", [0, 1, 1])["result"]["correct"] is True
+        assert obs.spans() == []
+        assert client.gate("maj3", [0, 1, 1])["served"]["source"] \
+            in ("cached", "coalesced")
+        assert obs.spans() == []
+        # The observer stays on: /metrics is live.
+        text = client.metrics()
+        assert _counter(text, "repro_serve_requests_total") == 3
+        assert obs.spans() == []
