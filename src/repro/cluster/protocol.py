@@ -67,6 +67,7 @@ import hmac
 import io
 import json
 import os
+import re
 import secrets as _secrets
 import socket
 import ssl
@@ -109,6 +110,7 @@ CHUNK_BYTES = 8 * 1024 * 1024
 MAX_STREAM_BYTES = 8 * 1024 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 def resolve_secret(secret: Optional[str] = None) -> str:
@@ -195,7 +197,8 @@ def _recv_payload(sock: socket.socket) -> Optional[bytes]:
 def _parse_frame(payload: bytes) -> Dict[str, Any]:
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        # RecursionError: a hostile peer nesting arrays thousands deep.
         raise ClusterError(f"undecodable frame: {exc}")
     if not isinstance(message, dict):
         raise ClusterError(
@@ -271,11 +274,15 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
     frame = recv_frame(sock)
     if frame is None or frame.get("type") != "result_chunk":
         return frame
+    expected_digest = frame.get("sha256")
     try:
         total = int(frame.get("bytes", -1))
         chunks = int(frame.get("chunks", -1))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ClusterError("malformed result_chunk header")
+    if not (isinstance(expected_digest, str)
+            and _SHA256_HEX.fullmatch(expected_digest)):
+        raise ClusterError("malformed result_chunk header: no SHA-256")
     if not 0 < total <= MAX_STREAM_BYTES:
         raise ClusterError(
             f"peer announced a {total}-byte chunked message (limit "
@@ -300,8 +307,7 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
         raise ClusterError(
             f"chunked message ended at {received} of {total} declared "
             "bytes")
-    if not hmac.compare_digest(digest.hexdigest(),
-                               str(frame.get("sha256", ""))):
+    if not hmac.compare_digest(digest.hexdigest(), expected_digest):
         raise ClusterError(
             "chunked message failed its SHA-256 digest check; "
             "dropping the connection")

@@ -15,13 +15,14 @@ these two.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
-from ..physics.waves import Wave, phase_distance
+from ..physics.waves import Wave, phase_distance, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,23 @@ class DetectionResult:
     amplitude: float
     phase: float
     margin: float
+
+
+def _phase_bit(phase: float, reference_phase: float) -> Tuple[int, float]:
+    """(bit, margin) of a phase read against the logic-0 reference: the
+    nearer codeword wins, the margin is the distance to the boundary."""
+    distance_to_zero = phase_distance(phase, reference_phase)
+    distance_to_one = phase_distance(phase, reference_phase + math.pi)
+    value = 0 if distance_to_zero <= distance_to_one else 1
+    return value, math.pi / 2.0 - min(distance_to_zero, distance_to_one)
+
+
+def _threshold_bit(level: float, threshold: float,
+                   invert: bool) -> Tuple[int, float]:
+    """(bit, margin) of a normalised amplitude against the threshold."""
+    above = level > threshold
+    value = (1 if above else 0) if invert else (0 if above else 1)
+    return value, abs(level - threshold)
 
 
 class PhaseDetector:
@@ -75,13 +93,9 @@ class PhaseDetector:
 
     def detect(self, wave: Wave) -> DetectionResult:
         """Decode one wave."""
-        distance_to_zero = phase_distance(wave.phase, self.reference_phase)
-        distance_to_one = phase_distance(wave.phase,
-                                         self.reference_phase + math.pi)
-        value = 0 if distance_to_zero <= distance_to_one else 1
+        value, margin = _phase_bit(wave.phase, self.reference_phase)
         if self.invert:
             value = 1 - value
-        margin = math.pi / 2.0 - min(distance_to_zero, distance_to_one)
         return DetectionResult(logic_value=value, amplitude=wave.amplitude,
                                phase=wave.phase, margin=margin)
 
@@ -136,9 +150,7 @@ class ThresholdDetector:
     def detect(self, wave: Wave) -> DetectionResult:
         """Decode one wave (XOR: large amplitude -> 0)."""
         level = self.normalised(wave.amplitude)
-        above = level > self.threshold
-        value = (1 if above else 0) if self.invert else (0 if above else 1)
-        margin = abs(level - self.threshold)
+        value, margin = _threshold_bit(level, self.threshold, self.invert)
         return DetectionResult(logic_value=value, amplitude=level,
                                phase=wave.phase, margin=margin)
 
@@ -182,6 +194,8 @@ class Readout:
         if self.kind not in ("phase", "threshold"):
             raise ValueError(f"unknown readout {self.kind!r}; use 'phase' "
                              "or 'threshold'")
+        if self.threshold <= 0:
+            raise ValueError("threshold must be positive")
 
 
 #: The readout of each gate a gate case can name.
@@ -189,26 +203,35 @@ GATE_READOUTS = {"maj3": Readout("phase"), "xor": Readout("threshold")}
 
 
 def decode(readout: Readout, envelopes: Mapping[str, complex],
-           references: Mapping[str, complex],
-           frequency: float = 10e9) -> Dict[str, DetectionResult]:
+           references: Mapping[str, complex]) -> Dict[str, DetectionResult]:
     """Decode each output envelope against its all-zeros reference.
 
     Returns one :class:`DetectionResult` per output, in the order of
     ``envelopes``.  A threshold result's ``amplitude`` is the
-    normalised level; a phase result's is the raw magnitude.
+    normalised level; a phase result's is the raw magnitude.  The
+    decision is :class:`PhaseDetector`'s or :class:`ThresholdDetector`'s,
+    taken straight from each envelope's magnitude and phase.
     """
     results = {}
     for name, envelope in envelopes.items():
         reference = references[name]
+        amplitude = abs(envelope)
+        phase = wrap_phase(cmath.phase(envelope) if envelope != 0 else 0.0)
         if readout.kind == "phase":
-            detector = PhaseDetector(
-                reference_phase=float(np.angle(reference))
-                - (math.pi if readout.invert else 0.0))
+            # np.arctan2, not cmath.phase: the two differ in the last bit.
+            reference_phase = float(np.arctan2(reference.imag,
+                                               reference.real))
+            if readout.invert:
+                reference_phase -= math.pi
+            value, margin = _phase_bit(phase, reference_phase)
         else:
-            detector = ThresholdDetector(threshold=readout.threshold,
-                                         reference_amplitude=abs(reference),
-                                         invert=readout.invert)
-        results[name] = detector.detect_envelope(envelope, frequency)
+            reference_amplitude = abs(reference)
+            if reference_amplitude <= 0:
+                raise ValueError("reference amplitude must be positive")
+            amplitude = amplitude / reference_amplitude
+            value, margin = _threshold_bit(amplitude, readout.threshold,
+                                           readout.invert)
+        results[name] = DetectionResult(value, amplitude, phase, margin)
     return results
 
 

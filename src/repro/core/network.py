@@ -256,8 +256,7 @@ class NetworkGate:
         references = self._references(backend)
         return GateResult(
             inputs=dict(zip(self.input_names, bits)),
-            outputs=decode(self.readout, envelopes, references,
-                           self.frequency),
+            outputs=decode(self.readout, envelopes, references),
             expected=self.logic(*bits) ^ int(self.readout.invert),
             backend=backend,
             normalized=normalized_levels(envelopes, references))

@@ -573,8 +573,7 @@ def _evaluate_llg_tier(gate: str, bits: Tuple[int, ...], expected: int,
          for name in names} for run in (case, reference))
     result = GateResult(
         inputs={f"I{i + 1}": bit for i, bit in enumerate(bits)},
-        outputs=decode(GATE_READOUTS[gate], envelopes, references,
-                       frequency),
+        outputs=decode(GATE_READOUTS[gate], envelopes, references),
         expected=expected, backend="llg",
         normalized=normalized_levels(envelopes, references))
     return {"gate": gate, "tier": "llg", "bits": list(bits),

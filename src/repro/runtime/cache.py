@@ -58,16 +58,19 @@ QUARANTINE_DIR = "quarantine"
 _LOG = obs.get_logger("runtime.cache")
 
 
-def atomic_write(path: str, writer: Callable[[Any], Any]) -> None:
+def atomic_write(path: str, writer: Callable[[Any], Any]) -> int:
     """Write a file atomically: temp file in the same directory, then
     ``os.replace``.  A reader never sees a half-written file and a
-    killed writer leaves at worst an orphaned ``.tmp-*.part``."""
+    killed writer leaves at worst an orphaned ``.tmp-*.part``.
+    Returns the size of the written file in bytes."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as handle:
             writer(handle)
+            size = handle.seek(0, os.SEEK_END)
         os.replace(tmp, path)
+        return size
     except BaseException:
         try:
             os.unlink(tmp)
@@ -327,7 +330,8 @@ class DiskCache(ResultCache):
         npz-then-json sequence exclusive.  The lock file is invisible
         to :func:`scan_cache` (it only looks at ``.json``) and inert
         where ``fcntl`` does not exist (Windows), which degrades to
-        the old rename-only behaviour.
+        the old rename-only behaviour.  An entry without a sidecar is
+        one rename and takes no lock.
         """
         if fcntl is None:
             yield
@@ -352,19 +356,27 @@ class DiskCache(ResultCache):
         payload = _encode(value, arrays)
         document = {"key": key, "salt": self.salt,
                     "arrays": sorted(arrays), "value": payload}
-        os.makedirs(os.path.dirname(json_path), exist_ok=True)
         text = json.dumps(document).encode("utf-8")
         if corrupt_fault is not None and corrupt_fault.kind == "corrupt":
             text = text[:max(1, len(text) // 2)]  # torn write
-        with self._store_lock(json_path):
-            if arrays:
-                atomic_write(npz_path, lambda fh: np.savez(fh, **arrays))
-            atomic_write(json_path, lambda fh: fh.write(text))
+        try:
+            written = self._write_entry(json_path, npz_path, text, arrays)
+        except FileNotFoundError:  # the key's shard directory is new
+            os.makedirs(os.path.dirname(json_path), exist_ok=True)
+            written = self._write_entry(json_path, npz_path, text, arrays)
         if obs.enabled():
-            written = os.path.getsize(json_path)
-            if arrays:
-                written += os.path.getsize(npz_path)
             obs.counter("cache.bytes_written").inc(written)
+
+    def _write_entry(self, json_path: str, npz_path: str, text: bytes,
+                     arrays: Dict[str, np.ndarray]) -> int:
+        """Write the document (and sidecar); returns the bytes written."""
+        if not arrays:
+            return atomic_write(json_path, lambda fh: fh.write(text))
+        with self._store_lock(json_path):
+            written = atomic_write(npz_path,
+                                   lambda fh: np.savez(fh, **arrays))
+            return written + atomic_write(json_path,
+                                          lambda fh: fh.write(text))
 
     # Kept as a method alias: external writers of cache-adjacent
     # artifacts used this before atomic_write became module-level.

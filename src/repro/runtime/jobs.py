@@ -94,8 +94,8 @@ def phase_noise_error_rate(sigma: float, n_trials: int = 200,
                 injections[name] = Wave(1.0, phase,
                                         gate.frequency).envelope
             env = gate.network.propagate(injections)
-            decoded = decode(gate.readout, {"O1": env["O1"]}, reference,
-                             gate.frequency)["O1"]
+            decoded = decode(gate.readout, {"O1": env["O1"]},
+                             reference)["O1"]
             errors += decoded.logic_value != result.expected
             total += 1
     return {"sigma": float(sigma), "n_trials": int(n_trials),

@@ -200,8 +200,9 @@ class GateService:
         self.cache: Optional[ResultCache] = (
             DiskCache(root=self.config.cache_dir)
             if self.config.cache_dir else None)
-        # Network-tier jobs are microsecond-scale: keep them serial and
-        # in-process.  Solver tiers get the pool -- or, with
+        # Network-tier jobs take about a tenth of a millisecond: the
+        # pipeline's fast lane runs them serially on the event loop.
+        # Solver tiers get a thread and the pool -- or, with
         # ``--backend tcp://...``, the cluster -- and the job timeout.
         from ..runtime.backend import create_backend
 

@@ -18,21 +18,28 @@ Every gate evaluation entering the service flows through one
    HTTP layer maps to ``429`` with a ``Retry-After`` hint -- load is
    shed at the door instead of growing an unbounded backlog.
 4. **Micro-batching by group commit.**  Requests marked batchable
-   (network-tier evaluations, which cost microseconds each) share one
-   fast lane that runs ONE ``Executor.run`` batch at a time -- one
-   thread hop and one report for the whole group ("batched").  A
-   request that finds the lane idle leaves at the end of the current
+   (network-tier evaluations, which cost about a tenth of a
+   millisecond each) share one fast lane that runs ONE
+   ``Executor.run`` batch at a time, on the event loop itself -- one
+   call and one report for the whole group ("batched").  A request
+   that finds the lane idle leaves at the end of the current
    event-loop tick, together with whatever else arrived in that tick;
-   requests that arrive while a batch runs queue up and leave together
-   as the next batch, at most ``batch_max`` at a time.  An idle lane
-   adds no wait; batches form only under load, where they pay.
-   Heavier tiers skip the lane and run as single-spec batches
-   ("computed").
+   requests that queue behind a running batch leave together as the
+   next batch, at most ``batch_max`` at a time.  An idle lane adds no
+   wait; batches form only under load, where they pay.  Requests not
+   marked batchable (solver tiers, compiles) skip the lane and run as
+   single-spec batches in a thread (:func:`repro.runtime.aio.run_async`),
+   so a solver run never holds the loop ("computed").
 
-The pipeline never blocks the event loop: executor calls go through
-:func:`repro.runtime.aio.run_async`, and compute runs as background
-tasks so a disconnecting client cannot cancel work that other
-coalesced requests are waiting on.
+The cache lookup and the fast lane run on the event loop: a thread
+hop costs more than the work, and the GIL would serialise the two
+anyway.  The loop is held for at most one batch of at most
+``batch_max`` network jobs; between batches the lane gives the loop
+:data:`LANE_YIELD_TURNS` turns, enough to answer a request that
+arrived during the batch (``/healthz``, a cache hit) or to deliver an
+expired deadline's ``504``.  A running batch cannot be interrupted.
+Computations run as background tasks, so a disconnecting client
+cannot cancel work that other coalesced requests are waiting on.
 
 Resilience (see ``docs/RESILIENCE.md``): each job family (the
 ``breaker_key`` the caller passes, normally the solver tier) gets a
@@ -43,7 +50,9 @@ succeeds.  The breaker check sits *after* the cache fast path, so an
 open circuit still serves cached results -- degraded, not dead.  A
 ``deadline`` bounds how long one request waits; on expiry the caller
 gets :class:`~repro.errors.JobTimeout` (504) while the computation
-keeps running for coalesced waiters and the cache.
+keeps running for coalesced waiters and the cache.  A queued
+network-tier request whose deadline passes gets its 504 between
+batches.
 
 Metrics (``repro.obs`` registry, served by ``GET /metrics``):
 ``serve.coalesced``, ``serve.cache_fastpath``, ``serve.rejected_queue``,
@@ -75,6 +84,13 @@ SOURCE_CACHED = "cached"        # result cache, no computation
 SOURCE_COMPUTED = "computed"    # executed as its own job
 SOURCE_BATCHED = "batched"      # executed inside a micro-batch (> 1)
 SOURCE_COALESCED = "coalesced"  # shared an in-flight identical request
+
+#: Turns of the event loop between two fast-lane batches.  What became
+#: ready while a batch held the loop takes several turns to be
+#: answered: a request on an open connection or an expired deadline
+#: two, a request on a new connection seven (CPython 3.11).  The next
+#: batch starts after all of them.
+LANE_YIELD_TURNS = 8
 
 
 class Overloaded(Exception):
@@ -229,9 +245,9 @@ class GatePipeline:
         coalescing, cache fast path, admission and batching.
 
         ``deadline`` bounds the wait in seconds (``JobTimeout`` on
-        expiry; the computation is shielded and keeps running for
-        coalesced waiters).  ``breaker_key`` names the job family whose
-        circuit breaker guards -- and is driven by -- this request.
+        expiry; the computation keeps running for coalesced waiters).
+        ``breaker_key`` names the job family whose circuit breaker
+        guards -- and is driven by -- this request.
         """
         key = spec.key(self.salt)
         existing = self._inflight.get(key)
@@ -249,20 +265,13 @@ class GatePipeline:
         self._inflight[key] = future
         try:
             if self.cache is not None:
-                found, value = await loop.run_in_executor(
-                    None, self.cache.get, key)
+                found, value = self.cache.get(key)
                 if found:
                     obs.counter("serve.cache_fastpath").inc()
                     resolved = _Resolved(value, SOURCE_CACHED)
                     self._inflight.pop(key, None)
                     future.set_result(resolved)
                     return ServedResult(value, SOURCE_CACHED, key)
-        except asyncio.CancelledError:
-            # Client vanished during the cache lookup: nothing is
-            # running yet, so wake any coalescers with the cancellation.
-            self._inflight.pop(key, None)
-            future.cancel()
-            raise
         except Exception as exc:  # malformed key and kin: surface it
             self._inflight.pop(key, None)
             future.set_exception(exc)
@@ -321,17 +330,20 @@ class GatePipeline:
     @staticmethod
     async def _await_resolved(future: "asyncio.Future",
                               deadline: Optional[float]) -> _Resolved:
-        """Await a (shielded) result future, bounded by ``deadline``."""
-        if deadline is None:
-            return await asyncio.shield(future)
-        try:
-            return await asyncio.wait_for(asyncio.shield(future), deadline)
-        except asyncio.TimeoutError:
+        """Await a result future, bounded by ``deadline``.
+
+        Only this waiter gives up (on expiry or cancellation): the
+        computation keeps running for coalesced waiters and the cache.
+        An expired deadline raises two loop turns after it is due.
+        """
+        done, _pending = await asyncio.wait((future,), timeout=deadline)
+        if not done:
             obs.counter("serve.deadline_exceeded").inc()
             raise JobTimeout(
                 f"deadline of {deadline * 1e3:.0f} ms exceeded; the "
                 "computation continues for coalesced waiters and the "
-                "cache") from None
+                "cache")
+        return future.result()
 
     async def drain(self) -> None:
         """Wait for all in-flight work, including every queued batch
@@ -413,18 +425,24 @@ class GatePipeline:
 
     async def _run_lane(self) -> None:
         """Group commit: run the queue one batch at a time, each batch
-        taking everything that queued behind the one before it."""
+        taking everything that queued behind the one before it.  The
+        first batch starts at once; before each later one the loop
+        gets :data:`LANE_YIELD_TURNS` turns."""
         try:
-            while self._queue:
+            while True:
                 batch = self._queue[:self.batch_max]
                 del self._queue[:self.batch_max]
-                await self._run_batch(batch)
+                self._run_batch(batch)
+                if not self._queue:
+                    break
+                for _turn in range(LANE_YIELD_TURNS):
+                    await asyncio.sleep(0)
         finally:
             self._lane = None
 
-    async def _run_batch(self, batch: List[Tuple[str, JobSpec,
-                                                 "asyncio.Future",
-                                                 Executor]]) -> None:
+    def _run_batch(self, batch: List[Tuple[str, JobSpec, "asyncio.Future",
+                                           Executor]]) -> None:
+        """Run one batch on the loop and resolve its futures."""
         size = len(batch)
         obs.counter("serve.batches").inc()
         obs.histogram("serve.batch_size").observe(size)
@@ -432,8 +450,7 @@ class GatePipeline:
             obs.counter("serve.batched").inc(size)
         executor = batch[0][3]  # batchable jobs share the fast executor
         try:
-            result = await run_async(executor,
-                                     [spec for _key, spec, _f, _e in batch])
+            result = executor.run([spec for _key, spec, _f, _e in batch])
             for (_key, _spec, future, _e), outcome in zip(
                     batch, result.outcomes):
                 self._resolve(future, outcome, size)

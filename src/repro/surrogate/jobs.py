@@ -142,8 +142,7 @@ def characterize_point(gate: str, tier: str = "network",
                 injections[name] = Wave(1.0, phase, frequency).envelope
             env = instance.network.propagate(injections)
             decoded = decode(instance.readout,
-                             {out: env[out] for out in names}, zeros,
-                             frequency)
+                             {out: env[out] for out in names}, zeros)
             errors += sum(det.logic_value != result.expected
                           for det in decoded.values())
             total += len(names)

@@ -585,6 +585,45 @@ class TestDiskCacheStoreLock:
                      for name in names]
         assert leftovers == []
 
+    def test_array_free_put_leaves_only_the_document(self, tmp_path):
+        root = str(tmp_path / "cache")
+        DiskCache(root=root).put(KEY_A, {"levels": [0.5, 1.0], "ok": True})
+        names = [name for _, _, names in os.walk(root) for name in names]
+        assert names == [KEY_A + ".json"]
+
+    def test_concurrent_array_free_stores_never_corrupt(self, tmp_path):
+        """Without a sidecar an entry is one atomic rename: N processes
+        rewriting one key take no lock and readers never see a torn
+        document."""
+        root = str(tmp_path / "cache")
+        script = (
+            "import sys\n"
+            "from repro.runtime import DiskCache\n"
+            "root, seed = sys.argv[1], int(sys.argv[2])\n"
+            "cache = DiskCache(root=root)\n"
+            "value = {'levels': [float(seed)] * 512, 'seed': seed}\n"
+            "for _ in range(50):\n"
+            "    cache.put('%s', value)\n"
+            "    ok, got = cache.get('%s')\n"
+            "    assert ok, 'concurrent reader saw a torn entry'\n"
+            "    assert len(got['levels']) == 512\n"
+            "    assert got['levels'] == [float(got['seed'])] * 512\n"
+            % (KEY_A, KEY_A))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", script, root, str(seed)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for seed in range(4)]
+        for proc in procs:
+            _, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == 0, stderr.decode()
+        assert count_quarantined(root) == 0
+        names = [name for _, _, names in os.walk(root) for name in names]
+        assert names == [KEY_A + ".json"]  # no lock, no stray temp file
+        ok, value = DiskCache(root=root).get(KEY_A)
+        assert ok and len(value["levels"]) == 512
+
     def test_concurrent_same_key_stores_never_corrupt(self, tmp_path):
         """N processes hammering one key: the flock serializes the
         npz+json sequence, so readers never see a torn pair."""

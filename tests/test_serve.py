@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor as _TP
 import pytest
 
 from repro import obs
+from repro.errors import JobTimeout
 from repro.resilience import FaultPlan, FaultSpec, faults
 from repro.runtime import DiskCache, Executor, JobSpec
 from repro.serve import (
@@ -177,44 +178,46 @@ class TestCoalescing:
         assert repaired.source == SOURCE_CACHED
 
 
-LANE_HOLD = threading.Event()
+#: What ``held_add`` does while its batch holds the fast lane.
+LANE_HOOK = {"while_held": lambda: None}
 
 
 def held_add(a, b):
-    """Blocks its executor thread until the test sets ``LANE_HOLD``."""
-    LANE_HOLD.wait(timeout=30)
+    """Calls ``LANE_HOOK["while_held"]`` from inside its batch: fast-lane
+    jobs run on the event loop's thread, so the hook can queue work
+    behind the batch it is part of."""
+    LANE_HOOK["while_held"]()
     return a + b
 
 
-async def _wait_in_flight(pipeline, n):
-    deadline = time.monotonic() + 10.0
-    while pipeline.in_flight < n:
-        assert time.monotonic() < deadline, f"never reached {n} in flight"
-        await asyncio.sleep(0.005)
-
-
 async def _hold_lane(pipeline, specs):
-    """Occupy the fast lane with a ``held_add`` batch and queue ``specs``
-    behind it; returns the holder and the queued submit futures with
-    the lane still held (the caller sets ``LANE_HOLD``)."""
-    LANE_HOLD.clear()
-    holder = asyncio.ensure_future(pipeline.submit(
-        JobSpec(held_add, {"a": 0, "b": len(specs)}), batchable=True))
-    await _wait_in_flight(pipeline, 1)  # the holder's batch is running
-    queued = [asyncio.ensure_future(pipeline.submit(s, batchable=True))
-              for s in specs]
-    await _wait_in_flight(pipeline, len(specs) + 1)
-    assert len(pipeline._queue) == len(specs)  # all behind the lane
+    """Run a ``held_add`` batch that submits ``specs`` while it holds
+    the fast lane; returns the holder and the queued submit futures
+    once all of them wait behind it."""
+    loop = asyncio.get_running_loop()
+    behind = loop.create_future()
+    queued = []
+
+    def queue_specs():
+        queued.extend(asyncio.ensure_future(
+            pipeline.submit(s, batchable=True)) for s in specs)
+        # Runs after the submits have queued, before their batch does.
+        loop.call_soon(lambda: behind.set_result(len(pipeline._queue)))
+
+    LANE_HOOK["while_held"] = queue_specs
+    try:
+        holder = asyncio.ensure_future(pipeline.submit(
+            JobSpec(held_add, {"a": 0, "b": len(specs)}), batchable=True))
+        queue_length = await behind
+    finally:
+        LANE_HOOK["while_held"] = lambda: None
+    assert queue_length == len(specs)  # all behind the lane
     return holder, queued
 
 
 async def _queue_behind_held_lane(pipeline, specs):
-    """Queue ``specs`` behind a held lane, release it and return their
-    results."""
-    try:
-        holder, queued = await _hold_lane(pipeline, specs)
-    finally:
-        LANE_HOLD.set()
+    """Queue ``specs`` behind a held lane and return their results."""
+    holder, queued = await _hold_lane(pipeline, specs)
     assert (await holder).batch_size == 1
     return await asyncio.gather(*queued)
 
@@ -295,10 +298,7 @@ class TestBatching:
         specs = [JobSpec(quick_add, {"a": i, "b": 600}) for i in range(3)]
 
         async def main():
-            try:
-                holder, queued = await _hold_lane(pipeline, specs)
-            finally:
-                threading.Timer(0.05, LANE_HOLD.set).start()
+            holder, queued = await _hold_lane(pipeline, specs)
             await pipeline.drain()
             assert pipeline.in_flight == 0 and not pipeline._queue
             return await asyncio.gather(holder, *queued)
@@ -483,8 +483,8 @@ class TestHttpService:
         client = ServeClient(server.base_url)
         client.gate("xor", [1, 1])
         server.stop()
-        lines = [json.loads(line) for line in
-                 open(tmp_path / "access.jsonl", encoding="utf-8")]
+        with open(tmp_path / "access.jsonl", encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
         assert len(lines) >= 1
         gate_line = next(l for l in lines if l["path"] == "/v1/gate")
         assert gate_line["status"] == 200
@@ -596,7 +596,9 @@ class TestSurrogateServing:
 class TestDeadlines:
     def test_deadline_exceeded_returns_504(self, tmp_path):
         """A request whose deadline expires gets 504 while the
-        computation keeps running for coalescers and the cache."""
+        computation keeps running for coalescers and the cache.  A
+        solver-tier job runs off the event loop, so the deadline cuts
+        the wait short."""
         faults.install(FaultPlan(specs=[
             FaultSpec(site="executor.invoke", kind="slow", at=1,
                       count=100, delay_s=1.0)]))
@@ -604,7 +606,7 @@ class TestDeadlines:
             t0 = time.monotonic()
             status, _headers, body = _post(
                 server.base_url, "/v1/gate",
-                {"gate": "xor", "bits": [0, 1]},
+                {"gate": "xor", "bits": [0, 1], "tier": "fdtd"},
                 headers={"x-deadline-ms": "150"})
             elapsed = time.monotonic() - t0
             assert status == 504
@@ -615,7 +617,8 @@ class TestDeadlines:
             # same key is now (or soon) a cache hit, not a recompute.
             status, _headers, body = _post(
                 server.base_url, "/v1/gate",
-                {"gate": "xor", "bits": [0, 1]}, timeout=30.0)
+                {"gate": "xor", "bits": [0, 1], "tier": "fdtd"},
+                timeout=30.0)
             assert status == 200
             assert body["result"]["correct"] is True
 
@@ -626,7 +629,7 @@ class TestDeadlines:
         with _server(tmp_path, deadline_s=0.15) as server:
             status, _headers, body = _post(
                 server.base_url, "/v1/gate",
-                {"gate": "xor", "bits": [1, 0]})
+                {"gate": "xor", "bits": [1, 0], "tier": "fdtd"})
             assert status == 504
             faults.uninstall()
 
@@ -639,6 +642,164 @@ class TestDeadlines:
                     headers={"x-deadline-ms": bad})
                 assert status == 400, bad
                 assert "x-deadline-ms" in body["error"]
+
+
+LANE_EVENTS = []
+
+
+def logged_slow_add(a, b):
+    """Logs its start, then holds the fast lane for 0.2 s."""
+    LANE_EVENTS.append(("job", a))
+    time.sleep(0.2)
+    return a + b
+
+
+def _exchange(sock, request):
+    """Send one HTTP/1.1 request on an open socket; return (status,
+    JSON body) of its response."""
+    sock.sendall(request)
+    reader = sock.makefile("rb")
+    status = int(reader.readline().split()[1])
+    length = 0
+    for line in iter(reader.readline, b"\r\n"):
+        name, _sep, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    return status, json.loads(reader.read(length))
+
+
+def _gate_request(bits):
+    body = json.dumps({"gate": "maj3", "bits": bits}).encode("utf-8")
+    return (b"POST /v1/gate HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)) + body
+
+
+def _wait_hits(hits):
+    """Wait until ``hits`` slowed fast-lane jobs have started."""
+    deadline = time.monotonic() + 10.0
+    while faults.site_hits("executor.invoke") < hits:
+        assert time.monotonic() < deadline, f"job {hits} never started"
+        time.sleep(0.001)
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+class TestLoopLane:
+    """The fast lane runs on the event loop: it holds the loop for one
+    batch at a time and lets it turn between batches."""
+
+    def test_expired_deadline_answers_before_next_batch(self, tmp_path):
+        pipeline, _ = _pipeline(tmp_path, batch_max=1)
+        LANE_EVENTS.clear()
+        first = JobSpec(logged_slow_add, {"a": 1, "b": 0})
+        late = JobSpec(logged_slow_add, {"a": 2, "b": 0})
+
+        async def timed_out():
+            try:
+                return await pipeline.submit(late, batchable=True,
+                                             deadline=0.05)
+            except JobTimeout:
+                LANE_EVENTS.append(("504", 2))
+                raise
+
+        async def main():
+            results = await asyncio.gather(
+                pipeline.submit(first, batchable=True), timed_out(),
+                return_exceptions=True)
+            await pipeline.drain()
+            return results
+
+        first_result, late_result = asyncio.run(main())
+        assert first_result.value == 1
+        assert isinstance(late_result, JobTimeout)
+        # Queued behind the first batch, the late request's deadline
+        # passed while that batch ran: its 504 comes before its own
+        # batch, which still runs for the cache.
+        assert LANE_EVENTS == [("job", 1), ("504", 2), ("job", 2)]
+        assert asyncio.run(pipeline.submit(late)).source == SOURCE_CACHED
+
+    def test_healthz_answers_between_batches(self, tmp_path):
+        """While 3 x batch_max requests are queued, /healthz -- on an
+        open connection and on a new one -- is answered at the end of
+        the batch it arrived during."""
+        faults.install(FaultPlan(specs=[
+            FaultSpec(site="executor.invoke", kind="slow", at=1,
+                      count=100, delay_s=0.2)]))
+        with _server(tmp_path, batch_max=2) as server:
+            service = server.service
+            healthz = service._routes[("GET", "/healthz")]
+            answered_at = []
+
+            async def recorded_healthz(request, request_id):
+                answered_at.append(faults.site_hits("executor.invoke"))
+                return await healthz(request, request_id)
+
+            service._routes[("GET", "/healthz")] = recorded_healthz
+            address = ("127.0.0.1", server.port)
+            with socket.create_connection(address, timeout=30) as probe:
+                assert _exchange(probe, HEALTHZ)[0] == 200
+                # One slowed job holds the lane while 3 x batch_max
+                # requests arrive; they queue as three batches, jobs
+                # 2-3, 4-5 and 6-7.
+                first = socket.create_connection(address, timeout=30)
+                queued = [socket.create_connection(address, timeout=30)
+                          for _ in range(6)]
+                try:
+                    first.sendall(_gate_request([0, 0, 0]))
+                    _wait_hits(1)
+                    patterns = [[0, 0, 1], [0, 1, 0], [0, 1, 1],
+                                [1, 0, 0], [1, 0, 1], [1, 1, 0]]
+                    for sock, bits in zip(queued, patterns):
+                        sock.sendall(_gate_request(bits))
+                    _wait_hits(2)  # the first of the three batches runs
+                    sent_at = [faults.site_hits("executor.invoke")]
+                    healths = [_exchange(probe, HEALTHZ)]
+                    _wait_hits(4)  # the second batch runs
+                    sent_at.append(faults.site_hits("executor.invoke"))
+                    with socket.create_connection(address,
+                                                  timeout=30) as fresh:
+                        healths.append(_exchange(fresh, HEALTHZ))
+                    answers = [_exchange(sock, b"")
+                               for sock in [first] + queued]
+                finally:
+                    for sock in [first] + queued:
+                        sock.close()
+        assert [status for status, _health in healths] == [200, 200]
+        assert all(health["in_flight"] >= 2 for _s, health in healths)
+        # A batch of two ends at an odd job number.
+        batch_ends = [hit + (hit % 2 == 0) for hit in sent_at]
+        assert answered_at[-2:] == batch_ends, (sent_at, answered_at)
+        assert answered_at[-1] < 6  # before the last batch
+        assert all(code == 200 for code, _body in answers)
+        assert sorted(body["served"]["batch_size"]
+                      for _code, body in answers) == [1, 2, 2, 2, 2, 2, 2]
+
+    def test_requests_arriving_during_a_batch_leave_together(
+            self, tmp_path):
+        faults.install(FaultPlan(specs=[
+            FaultSpec(site="executor.invoke", kind="slow", at=1,
+                      count=1, delay_s=0.3)]))
+        with _server(tmp_path) as server:
+            address = ("127.0.0.1", server.port)
+            socks = [socket.create_connection(address, timeout=30)
+                     for _ in range(3)]
+            try:
+                socks[0].sendall(_gate_request([1, 1, 1]))
+                _wait_hits(1)  # its batch holds the lane
+                socks[1].sendall(_gate_request([1, 1, 0]))
+                socks[2].sendall(_gate_request([1, 0, 1]))
+                answers = [_exchange(sock, b"") for sock in socks]
+            finally:
+                for sock in socks:
+                    sock.close()
+        assert [code for code, _body in answers] == [200, 200, 200]
+        served = [body["served"] for _code, body in answers]
+        assert served[0]["source"] == SOURCE_COMPUTED
+        for meta in served[1:]:
+            assert meta["source"] == SOURCE_BATCHED
+            assert meta["batch_size"] == 2
 
 
 class TestCircuitBreaker:
@@ -734,22 +895,27 @@ class TestServeSubprocess:
         assert any(json.loads(l)["path"] == "/v1/gate" for l in lines)
 
     def test_sigterm_drains_in_flight_microbatch(self, tmp_path):
-        """SIGTERM while a micro-batch is queued behind a busy fast lane
-        must run that batch and answer every waiter before the process
+        """SIGTERM while a micro-batch runs behind a busy fast lane must
+        finish that batch and answer every waiter before the process
         exits."""
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        # The first job sleeps, holding the lane while two more queue.
+        # The first two jobs sleep: the first holds the lane while two
+        # more queue, the second holds it while SIGTERM arrives.  Each
+        # slowed job logs a warning when it starts.
         env["REPRO_FAULTS"] = FaultPlan(specs=[
-            FaultSpec(site="executor.invoke", kind="slow", at=1, count=1,
-                      delay_s=2.0)]).to_json()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", str(port),
-             "--cache-dir", str(tmp_path / "cache")],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            FaultSpec(site="executor.invoke", kind="slow", at=1, count=2,
+                      delay_s=1.0)]).to_json()
+        log_path = tmp_path / "serve.log"
+        with open(log_path, "wb") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "--log-level", "warning",
+                 "serve", "--port", str(port),
+                 "--cache-dir", str(tmp_path / "cache")],
+                env=env, stdout=subprocess.DEVNULL, stderr=log)
         try:
             base = f"http://127.0.0.1:{port}"
             client = ServeClient(base, retries=8, backoff=0.25)
@@ -762,22 +928,23 @@ class TestServeSubprocess:
                     base, "/v1/gate", {"gate": "xor", "bits": bits},
                     timeout=30.0)
 
-            def wait_in_flight(n):
+            def wait_slowed(hit):
+                marker = f"executor.invoke hit {hit}:"
                 deadline = time.monotonic() + 10.0
                 while time.monotonic() < deadline:
-                    if client.health()["in_flight"] >= n:
+                    if marker in log_path.read_text():
                         return
                     time.sleep(0.02)
-                pytest.fail(f"never {n} jobs in flight")
+                pytest.fail(f"slowed job {hit} never started")
 
             threads = [threading.Thread(target=post, args=([0, 0],))]
             threads[0].start()
-            wait_in_flight(1)  # the slowed job holds the lane
+            wait_slowed(1)  # the first slowed job holds the lane
             threads += [threading.Thread(target=post, args=([0, 1],)),
                         threading.Thread(target=post, args=([1, 0],))]
             for thread in threads[1:]:
                 thread.start()
-            wait_in_flight(3)  # both queued behind it
+            wait_slowed(2)  # both left as the next batch, which runs
             proc.send_signal(signal.SIGTERM)
             for thread in threads:
                 thread.join(timeout=30)
