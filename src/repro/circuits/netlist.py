@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..core.logic import GATE_TYPES
 from ..errors import (
     CombinationalLoopError,
     DanglingNetError,
@@ -20,22 +21,10 @@ from ..errors import (
     FanOutExceededError,
 )
 
-#: Gate types the circuit layer understands and their port signatures.
+#: Port signature ``(n_inputs, n_outputs)`` per gate type, from the
+#: catalogue :data:`repro.core.logic.GATE_TYPES`.
 GATE_PORT_COUNTS: Dict[str, Tuple[int, int]] = {
-    # type: (n_inputs, n_outputs)
-    "MAJ3": (3, 2),
-    "NMAJ3": (3, 2),
-    "XOR": (2, 2),
-    "XNOR": (2, 2),
-    "AND": (2, 2),
-    "NAND": (2, 2),
-    "OR": (2, 2),
-    "NOR": (2, 2),
-    "NOT": (1, 2),
-    "REPEATER": (1, 1),
-    "SPLITTER2": (1, 2),
-    "SPLITTER3": (1, 3),
-}
+    name: (gate.inputs, gate.outputs) for name, gate in GATE_TYPES.items()}
 
 #: Native fan-out of the triangle gates (and the splitter components
 #: used to exceed it, Section III-A last paragraph).

@@ -20,50 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-from ..core.gates import DerivedTriangleGate, TriangleMajorityGate, TriangleXorGate
-from ..core.logic import and_, majority, nand, nor, not_, or_, xnor, xor
+from ..core.gates import triangle_gate
+from ..core.logic import GATE_TYPES
 from ..evaluation.energy import TABLE_DELAY
 from ..evaluation.transducers import PAPER_ME_CELL, METransducer
 from .netlist import Netlist
-
-#: Boolean reference function per gate type (first output; the second
-#: output of an FO2 gate carries the same value).
-_BOOLEAN_MODELS = {
-    "MAJ3": majority,
-    "NMAJ3": lambda a, b, c: 1 - majority(a, b, c),
-    "XOR": xor,
-    "XNOR": xnor,
-    "AND": and_,
-    "NAND": nand,
-    "OR": or_,
-    "NOR": nor,
-    "NOT": not_,
-    "REPEATER": lambda a: a,
-    "SPLITTER2": lambda a: a,
-    "SPLITTER3": lambda a: a,
-}
-
-#: Excitation/detection cell counts per gate type for the energy model.
-#: Derived 2-input gates embed MAJ3 (3 excitation cells: 2 data + 1
-#: control).  Repeaters cost one excitation; splitters are passive.
-_CELL_COUNTS: Dict[str, Tuple[int, int]] = {
-    "MAJ3": (3, 2),
-    "NMAJ3": (3, 2),
-    "XOR": (2, 2),
-    "XNOR": (2, 2),
-    "AND": (3, 2),
-    "NAND": (3, 2),
-    "OR": (3, 2),
-    "NOR": (3, 2),
-    "NOT": (2, 2),   # XOR with a constant-1 control input
-    "REPEATER": (1, 1),
-    "SPLITTER2": (0, 0),
-    "SPLITTER3": (0, 0),
-}
-
-#: Gate types that take a transducer delay stage (passive splitters
-#: add none under the paper's assumptions).
-_ACTIVE_TYPES = {t for t, (e, _d) in _CELL_COUNTS.items() if e > 0}
 
 
 @dataclass
@@ -108,20 +69,12 @@ class CircuitSimulator:
             self._build_wave_gates()
 
     def _build_wave_gates(self) -> None:
+        # NOT / repeaters / splitters stay boolean even in network
+        # mode: they are single-wave devices with no interference.
         for name, inst in self.netlist.gates.items():
-            if inst.gate_type in ("MAJ3",):
-                self._wave_gates[name] = TriangleMajorityGate()
-            elif inst.gate_type == "NMAJ3":
-                self._wave_gates[name] = TriangleMajorityGate(
-                    invert_output=True)
-            elif inst.gate_type == "XOR":
-                self._wave_gates[name] = TriangleXorGate()
-            elif inst.gate_type == "XNOR":
-                self._wave_gates[name] = TriangleXorGate(xnor=True)
-            elif inst.gate_type in ("AND", "NAND", "OR", "NOR"):
-                self._wave_gates[name] = DerivedTriangleGate(inst.gate_type)
-            # NOT / repeaters / splitters stay boolean even in network
-            # mode: they are single-wave devices with no interference.
+            gate = GATE_TYPES[inst.gate_type]
+            if gate.interferes:
+                self._wave_gates[name] = triangle_gate(gate)
 
     def _evaluate_gate(self, name: str, in_bits: Tuple[int, ...]) -> int:
         inst = self.netlist.gates[name]
@@ -131,7 +84,7 @@ class CircuitSimulator:
                 raise RuntimeError(
                     f"gate {name!r}: outputs disagree (FO2 violated)")
             return next(iter(result.outputs.values())).logic_value
-        return _BOOLEAN_MODELS[inst.gate_type](*in_bits)
+        return GATE_TYPES[inst.gate_type].function(*in_bits)
 
     def run(self, inputs: Mapping[str, int]) -> CircuitReport:
         """Evaluate the circuit for one input assignment.
@@ -157,16 +110,17 @@ class CircuitSimulator:
         depth: Dict[str, int] = {net: 0 for net in values}
         for name in self._order:
             inst = self.netlist.gates[name]
+            gate = GATE_TYPES[inst.gate_type]
             in_bits = tuple(values[n] for n in inst.inputs)
             out_bit = self._evaluate_gate(name, in_bits)
+            # Passive splitters add no transducer delay stage.
             stage = max(depth[n] for n in inst.inputs) \
-                + (1 if inst.gate_type in _ACTIVE_TYPES else 0)
+                + (1 if gate.excite > 0 else 0)
             for net in inst.outputs:
                 if net is not None:
                     values[net] = out_bit
                     depth[net] = stage
-            n_excite, _ = _CELL_COUNTS[inst.gate_type]
-            energy += n_excite * self.transducer.excitation_energy
+            energy += gate.excite * self.transducer.excitation_energy
         outputs = {net: values[net] for net in self.netlist.primary_outputs}
         stage_count = max((depth[n] for n in outputs), default=0)
         return CircuitReport(values=values, outputs=outputs,

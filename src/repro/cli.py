@@ -39,18 +39,15 @@ def _cache(args: argparse.Namespace):
 def _cmd_truth_table(args: argparse.Namespace) -> int:
     from functools import partial
 
-    from .core import DerivedTriangleGate, TriangleMajorityGate, TriangleXorGate
     from .core.extended import TriangleMajority5Gate
+    from .core.gates import triangle_gate
+    from .core.logic import GATE_TYPES
     from .io import format_truth_table
 
-    gates = {  # name -> gate factory
-        "maj3": TriangleMajorityGate,
-        "nmaj3": partial(TriangleMajorityGate, invert_output=True),
-        "xor": TriangleXorGate,
-        "xnor": partial(TriangleXorGate, xnor=True),
+    gates = {  # name -> gate factory; MAJ5 is the one non-netlist gate
+        **{name.lower(): partial(triangle_gate, gate)
+           for name, gate in GATE_TYPES.items() if gate.interferes},
         "maj5": TriangleMajority5Gate,
-        **{name: partial(DerivedTriangleGate, name)
-           for name in ("and", "or", "nand", "nor")},
     }
     if args.gate.lower() not in gates:
         return _fail(f"unknown gate {args.gate!r}; choose from "

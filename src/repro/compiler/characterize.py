@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from ..circuits.netlist import Netlist
 from ..circuits.simulator import CascadeSimulator
+from ..core.logic import GATE_TYPES
 from ..evaluation.circuit_level import (
     CMOS_TRANSISTOR_AREA,
     spin_wave_circuit_figures,
@@ -41,16 +42,6 @@ from ..evaluation.circuit_level import (
 from ..evaluation.cmos import cmos_gate
 from ..runtime.cache import atomic_write
 from .spec import CircuitSpec
-
-#: Physical gate type -> the characterized primitive it embeds.
-#: Derived 2-input gates are MAJ3 with a constant control input; NOT
-#: and XNOR are XOR embeddings.  Repeaters/splitters carry one wave
-#: with no interference, so they have no pattern-failure mode here.
-GATE_KIND = {
-    "MAJ3": "maj3", "NMAJ3": "maj3", "AND": "maj3", "NAND": "maj3",
-    "OR": "maj3", "NOR": "maj3",
-    "XOR": "xor", "XNOR": "xor", "NOT": "xor",
-}
 
 #: Gate kind -> CMOS Table III function name.
 _CMOS_FUNCTION = {"maj3": "MAJ", "xor": "XOR"}
@@ -116,7 +107,7 @@ def _cmos_equivalent(netlist: Netlist, technology: str) -> Dict[str, Any]:
                                for net in netlist.primary_inputs}
     for name in netlist.topological_order():
         inst = netlist.gates[name]
-        kind = GATE_KIND.get(inst.gate_type)
+        kind = GATE_TYPES[inst.gate_type].primitive
         stage = 0.0
         if kind is not None:
             data = cmos_gate(technology, _CMOS_FUNCTION[kind])
@@ -152,9 +143,12 @@ def measure_error_rates(netlist: Netlist, tier: str = "network",
     """
     from ..micromag.experiments import sweep_gate_truth_table
 
+    # Each gate is swept as the primitive it embeds; repeaters and
+    # splitters carry one wave with no interference, so no
+    # pattern-failure mode.
     kind_counts: Dict[str, int] = {}
     for inst in netlist.gates.values():
-        kind = GATE_KIND.get(inst.gate_type)
+        kind = GATE_TYPES[inst.gate_type].primitive
         if kind is not None:
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
 

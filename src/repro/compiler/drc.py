@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..core.layout import PAPER_WAVELENGTH, PAPER_WIDTH, validate_phase_design
+from ..core.logic import GATE_TYPES
 from ..errors import DRCViolation
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
@@ -295,7 +296,10 @@ def _check_fanout(placement: "Placement", report: DRCReport) -> None:
     netlist.validate()   # FO2 budget: one consumer per physical net
     for name, inst in sorted(netlist.gates.items()):
         driven = [n for n in inst.outputs if n is not None]
-        budget = 3 if inst.gate_type == "SPLITTER3" \
+        # Passive splitters are how a net exceeds the FO2 budget
+        # (Section III-A): their budget is their own output count.
+        gate = GATE_TYPES[inst.gate_type]
+        budget = gate.outputs if gate.excite == 0 \
             else placement.rules.max_fanout
         if len(driven) > budget:
             report.violations.append(DRCViolation(

@@ -39,34 +39,19 @@ from ..core.layout import (
     segment_length,
     xor_layout,
 )
+from ..core.logic import GATE_TYPES
 from .drc import DesignRules
 
 Point = Tuple[float, float]
 
-#: Netlist gate type -> (layout kind, invert d4) for physical gates.
-_PHYSICAL = {
-    "MAJ3": ("maj3", False),
-    "AND": ("maj3", False),
-    "OR": ("maj3", False),
-    "NMAJ3": ("maj3", True),
-    "NAND": ("maj3", True),
-    "NOR": ("maj3", True),
-    "XOR": ("xor", False),
-    "XNOR": ("xor", False),
-    "NOT": ("xor", False),   # XOR with a constant-1 control wave
-}
-
 #: Input-pin node names per layout kind, in netlist port order.
 _INPUT_NODES = {"maj3": ("I1", "I2", "I3"), "xor": ("I1", "I2")}
 
-#: Synthetic footprints (width, height) in lambda for non-interference
-#: cells: a repeater is one ME cell plus a stub; splitters are passive
-#: Y-branches.
-_SYNTHETIC_FOOTPRINT = {
-    "REPEATER": (4.0, 4.0),
-    "SPLITTER2": (4.0, 6.0),
-    "SPLITTER3": (4.0, 8.0),
-}
+#: Synthetic footprint of a cell without a primitive (a repeater is one
+#: ME cell plus a stub, a splitter a passive Y-branch) [lambda]: a fixed
+#: width, and one pitch of height per output plus one.
+_SYNTHETIC_WIDTH = 4.0
+_SYNTHETIC_PITCH = 2.0
 
 #: Width of the virtual I/O pin columns [lambda].
 _PIN_COLUMN_WIDTH = 1.0
@@ -231,9 +216,11 @@ def _build_cell(name: str, gate_type: str, rules: DesignRules
     the right edge.
     """
     lam = rules.wavelength
-    if gate_type in _PHYSICAL:
-        kind, inverted = _PHYSICAL[gate_type]
-        dims = _gate_dimensions(rules, kind, inverted)
+    gate = GATE_TYPES[gate_type]
+    kind = gate.primitive
+    if kind is not None:
+        # XNOR inverts in its readout, on the plain XOR layout.
+        dims = _gate_dimensions(rules, kind, gate.invert and kind == "maj3")
         layout = maj3_layout(dims) if kind == "maj3" else xor_layout(dims)
         x0, y0, x1, y1 = layout.bounding_box()
         width = math.ceil((x1 - x0) / lam)
@@ -243,8 +230,8 @@ def _build_cell(name: str, gate_type: str, rules: DesignRules
         out_ys = [(layout.nodes[node][1] - y0) / lam
                   for node in ("O1", "O2")]
         return float(width), float(height), in_ys, out_ys, layout
-    width, height = _SYNTHETIC_FOOTPRINT[gate_type]
-    n_out = {"REPEATER": 1, "SPLITTER2": 2, "SPLITTER3": 3}[gate_type]
+    n_out = gate.outputs
+    width, height = _SYNTHETIC_WIDTH, _SYNTHETIC_PITCH * (n_out + 1)
     in_ys = [height / 2.0]
     out_ys = [height * (k + 1) / (n_out + 1) for k in range(n_out)]
     return width, height, in_ys, out_ys, None

@@ -35,10 +35,6 @@ lazy_exports(__name__, {
         "ladder_maj3_device", "ladder_xor_device", "triangle_maj3_device",
         "triangle_xor_device",
     ),
-    ".normalization": (
-        "AmplitudeNormalizer", "NormalizerSpec", "needs_normalizer",
-        "normalization_cost", "plan_normalizers",
-    ),
 })
 
 __all__ = [
@@ -62,6 +58,4 @@ __all__ = [
     "DetectionMethod", "SpinWaveDevice", "Transducer", "TransducerKind",
     "ladder_maj3_device", "ladder_xor_device",
     "triangle_maj3_device", "triangle_xor_device",
-    "AmplitudeNormalizer", "NormalizerSpec", "needs_normalizer",
-    "normalization_cost", "plan_normalizers",
 ]

@@ -65,17 +65,19 @@ def fabricate(layout: GateLayout, cell_size: Optional[float] = None,
         cell boundary, making the rasterised mask exactly mirror
         symmetric (the FO2 property O1 = O2 depends on it).
     cell_size:
-        In-plane cell edge [m]; defaults to lambda/11 (5 nm at the
-        paper's 55 nm), giving 11 cells per wavelength.
+        In-plane cell edge [m]; defaults to lambda/16 (3.4375 nm at the
+        paper's 55 nm), giving 16 cells per wavelength.
     margin:
         Canvas padding around the structure [m]; defaults to 2 lambda.
         Must exceed any absorber width used later so that only open
         waveguide ends reach into absorbing zones.
     terminal_radius:
         Radius of the circular source/detector patches [m]; defaults to
-        0.5 * width so detection averages the full guide cross-section
-        (suppressing odd-transverse-mode pickup, like a real ME cell
-        covering the waveguide).
+        half the rasterised guide width plus one cell,
+        ``0.5 * guide_width + cell_size`` (the guide is narrowed by
+        ``single_mode``), so detection averages the full guide
+        cross-section (suppressing odd-transverse-mode pickup, like a
+        real ME cell covering the waveguide).
     termination:
         Length [m] by which output arms are extended beyond the
         detector positions, so the guides run into the absorbing frame

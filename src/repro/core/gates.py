@@ -34,7 +34,8 @@ from .layout import (
     xor_layout,
 )
 from .logic import (
-    MAJORITY_DERIVED_FUNCTIONS,
+    GateType,
+    _majority_embedding,
     check_bits,
     input_patterns,
     majority,
@@ -290,12 +291,9 @@ class DerivedTriangleGate:
     def __init__(self, function: str,
                  dimensions: Optional[GateDimensions] = None,
                  frequency: float = 10e9, **gate_kwargs):
-        key = function.upper()
-        if key not in MAJORITY_DERIVED_FUNCTIONS:
-            raise KeyError(f"unknown derived function {function!r}; "
-                           f"options: {sorted(MAJORITY_DERIVED_FUNCTIONS)}")
-        self.function = key
-        self.control_value, inverted = MAJORITY_DERIVED_FUNCTIONS[key]
+        gate = _majority_embedding(function)
+        self.function = gate.name
+        self.control_value, inverted = gate.control, gate.invert
         if dimensions is None:
             dimensions = paper_maj3_dimensions(invert_output=inverted)
         self.majority_gate = TriangleMajorityGate(
@@ -328,6 +326,19 @@ class DerivedTriangleGate:
                 for bits in input_patterns(2)}
 
     is_functionally_correct = NetworkGate.is_functionally_correct
+
+
+def triangle_gate(gate: GateType):
+    """The network-tier wave model of a catalogue gate type that
+    :attr:`~repro.core.logic.GateType.interferes`: its primitive, with
+    the inversion and the constant control input the record names."""
+    if not gate.interferes:
+        raise ValueError(f"{gate.name} has no wave model")
+    if gate.control is not None:
+        return DerivedTriangleGate(gate.name)
+    if gate.primitive == "maj3":
+        return TriangleMajorityGate(invert_output=gate.invert)
+    return TriangleXorGate(xnor=gate.invert)
 
 
 def paper_table_i_gate() -> TriangleMajorityGate:

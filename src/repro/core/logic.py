@@ -1,13 +1,17 @@
-"""Boolean reference functions and truth-table utilities.
+"""Boolean reference functions, truth-table utilities and the
+gate-type catalogue.
 
 Every gate in the library is checked against these plain-Python
 references; they are the ground truth for all functional tests.
+:data:`GATE_TYPES` declares each netlist gate type once; the circuit
+layer, the compiler and the CLI derive their tables from it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Bit = int
 InputPattern = Tuple[Bit, ...]
@@ -80,16 +84,93 @@ def not_(bit: int) -> int:
     return 1 - bit
 
 
-#: The derived 2-input functions obtainable from MAJ3 with a control input
-#: (Section III-A: I3 = 0 gives AND, I3 = 1 gives OR; inverted variants
-#: come from reading the output at d4 = (n+1/2) lambda).
-MAJORITY_DERIVED_FUNCTIONS: Dict[str, Tuple[int, bool]] = {
-    # name: (control value for I3, invert output?)
-    "AND": (0, False),
-    "NAND": (0, True),
-    "OR": (1, False),
-    "NOR": (1, True),
-}
+def _buffer(bit: int) -> int:
+    """Identity (repeaters and splitters pass the wave on)."""
+    (bit,) = check_bits([bit])
+    return bit
+
+
+@dataclass(frozen=True)
+class GateType:
+    """One netlist gate type: its ports, transducer cells and logic.
+
+    Section III-A builds every gate from two triangle primitives: MAJ3
+    with a constant I3 gives AND (I3 = 0) and OR (I3 = 1), d4 = (n+1/2)
+    lambda inverts them, and XOR with a constant-1 control gives NOT.
+
+    Attributes
+    ----------
+    name:
+        The netlist type name.
+    inputs / outputs:
+        Port counts (data inputs only; the control input is internal).
+    excite / detect:
+        Excitation and detection transducer cells, for the energy and
+        area models.  A control input is excited like a data input.
+    primitive:
+        The embedded triangle gate, ``"maj3"`` or ``"xor"``; None for
+        repeaters and splitters.
+    readout:
+        How the primitive's outputs are read: ``"phase"`` (majority) or
+        ``"threshold"`` (X(N)OR); None without a primitive.
+    invert:
+        The output is inverted: d4 = (n+1/2) lambda on a MAJ3 layout,
+        the XNOR threshold convention on an XOR one.
+    control:
+        Constant value of the primitive's last input, or None.
+    function:
+        Boolean reference of the first output (an FO2 gate's second
+        output carries the same value).
+    """
+
+    name: str
+    inputs: int
+    outputs: int
+    excite: int
+    detect: int
+    primitive: Optional[str]
+    readout: Optional[str]
+    invert: bool
+    control: Optional[int]
+    function: Callable[..., int]
+
+    @property
+    def interferes(self) -> bool:
+        """Two data waves meet in the gate, so it has a wave model.
+        NOT (one data wave against a constant), repeaters and splitters
+        carry a single wave and are evaluated as boolean."""
+        return self.primitive is not None and self.inputs > 1
+
+
+#: The catalogue: the one declaration of every netlist gate type.
+GATE_TYPES: Dict[str, GateType] = {gate.name: gate for gate in (
+    # name, inputs, outputs, excite, detect, primitive, readout, invert,
+    # control, function
+    GateType("MAJ3", 3, 2, 3, 2, "maj3", "phase", False, None, majority),
+    GateType("NMAJ3", 3, 2, 3, 2, "maj3", "phase", True, None,
+             lambda a, b, c: 1 - majority(a, b, c)),
+    GateType("XOR", 2, 2, 2, 2, "xor", "threshold", False, None, xor),
+    GateType("XNOR", 2, 2, 2, 2, "xor", "threshold", True, None, xnor),
+    GateType("AND", 2, 2, 3, 2, "maj3", "phase", False, 0, and_),
+    GateType("NAND", 2, 2, 3, 2, "maj3", "phase", True, 0, nand),
+    GateType("OR", 2, 2, 3, 2, "maj3", "phase", False, 1, or_),
+    GateType("NOR", 2, 2, 3, 2, "maj3", "phase", True, 1, nor),
+    GateType("NOT", 1, 2, 2, 2, "xor", "threshold", False, 1, not_),
+    GateType("REPEATER", 1, 1, 1, 1, None, None, False, None, _buffer),
+    GateType("SPLITTER2", 1, 2, 0, 0, None, None, False, None, _buffer),
+    GateType("SPLITTER3", 1, 3, 0, 0, None, None, False, None, _buffer),
+)}
+
+
+def _majority_embedding(name: str) -> GateType:
+    """The record of a 2-input gate built as MAJ3 with a constant I3."""
+    gate = GATE_TYPES.get(name.upper())
+    if gate is None or gate.primitive != "maj3" or gate.control is None:
+        options = sorted(n for n, g in GATE_TYPES.items()
+                         if g.primitive == "maj3" and g.control is not None)
+        raise KeyError(f"unknown derived function {name!r}; "
+                       f"options: {options}")
+    return gate
 
 
 def majority_derived(name: str, a: int, b: int) -> int:
@@ -98,13 +179,9 @@ def majority_derived(name: str, a: int, b: int) -> int:
     >>> majority_derived("AND", 1, 1)
     1
     """
-    key = name.upper()
-    if key not in MAJORITY_DERIVED_FUNCTIONS:
-        raise KeyError(f"unknown derived function {name!r}; "
-                       f"options: {sorted(MAJORITY_DERIVED_FUNCTIONS)}")
-    control, inverted = MAJORITY_DERIVED_FUNCTIONS[key]
-    value = majority(a, b, control)
-    return 1 - value if inverted else value
+    gate = _majority_embedding(name)
+    value = majority(a, b, gate.control)
+    return 1 - value if gate.invert else value
 
 
 def truth_table(function: Callable[..., int], n_inputs: int

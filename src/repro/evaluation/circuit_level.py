@@ -16,6 +16,7 @@ from typing import Dict, List
 
 from ..circuits.netlist import Netlist
 from ..circuits.simulator import CircuitSimulator
+from ..core.logic import GATE_TYPES
 from .cmos import cmos_gate
 from .energy import TABLE_DELAY
 from .transducers import PAPER_ME_CELL, METransducer
@@ -62,12 +63,10 @@ def spin_wave_circuit_figures(netlist: Netlist,
     sim = CircuitSimulator(netlist, transducer=transducer)
     inputs = {net: 1 for net in netlist.primary_inputs}
     report = sim.run(inputs)
-    from ..circuits.simulator import _CELL_COUNTS
-
     n_cells = 0
-    for gate in netlist.gates.values():
-        excite, detect = _CELL_COUNTS[gate.gate_type]
-        n_cells += excite + detect
+    for inst in netlist.gates.values():
+        gate = GATE_TYPES[inst.gate_type]
+        n_cells += gate.excite + gate.detect
     return CircuitFigures(
         name=netlist.name,
         technology="SW",

@@ -5,8 +5,9 @@ A **span** is a named, timed section of work::
     with obs.span("fdtd.step", steps=400, cells=12000):
         ...
 
-Spans nest per thread: a span opened while another is active records
-that span as its parent, which is what lets the exporters reconstruct
+Spans nest per thread and per asyncio task: a span opened while
+another is active in the same thread or task records that span as its
+parent, which is what lets the exporters reconstruct
 the call tree (``profile`` > ``gate_case`` > ``fdtd.run_until`` >
 ``fdtd.step``).  Durations come from the monotonic
 :func:`time.perf_counter_ns` clock; the wall-clock start
@@ -31,18 +32,25 @@ never collide across processes.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import _state, flight as _flight
 
 _lock = threading.Lock()
 _finished: List[Dict[str, Any]] = []
-_tls = threading.local()
+#: The open spans, innermost last.  A context variable follows each
+#: thread and each asyncio task, so interleaved requests on one event
+#: loop never nest in each other.  It holds an immutable tuple that
+#: every span replaces: a task copies its creator's context, and a
+#: shared mutable stack would leak spans between the copies.
+_stack: "contextvars.ContextVar[Tuple[Span, ...]]" = contextvars.ContextVar(
+    "repro_span_stack", default=())
 _ids = itertools.count(1)
 
 #: Trace identity of the current collection (None when disabled).
@@ -88,14 +96,6 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-def _stack() -> List["Span"]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
 def _new_span_id() -> str:
     return f"{os.getpid():x}.{next(_ids):x}"
 
@@ -117,9 +117,9 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        stack = _stack()
+        stack = _stack.get()
         self.parent_id = stack[-1].span_id if stack else _root_parent
-        stack.append(self)
+        _stack.set(stack + (self,))
         _flight.record("span.open", name=self.name, span_id=self.span_id)
         self._ts_ns = time.time_ns()
         self._t0 = time.perf_counter_ns()
@@ -127,11 +127,11 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         dur_ns = time.perf_counter_ns() - self._t0
-        stack = _stack()
+        stack = _stack.get()
         if stack and stack[-1] is self:
-            stack.pop()
+            _stack.set(stack[:-1])
         elif self in stack:  # unbalanced exits (generators): best effort
-            stack.remove(self)
+            _stack.set(tuple(s for s in stack if s is not self))
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
         record = {
@@ -170,7 +170,7 @@ def enable(trace_id: Optional[str] = None,
     global _trace_id, _root_parent
     with _lock:
         _finished.clear()
-    _tls.stack = []
+    _stack.set(())
     _trace_id = trace_id or os.urandom(8).hex()
     _root_parent = parent_id
     _state.set_enabled(True)
@@ -194,7 +194,7 @@ def current_context() -> Optional[TraceContext]:
     """Serializable context for shipping to another process."""
     if not _state.enabled_flag or _trace_id is None:
         return None
-    stack = _stack()
+    stack = _stack.get()
     parent = stack[-1].span_id if stack else _root_parent
     return TraceContext(trace_id=_trace_id, span_id=parent)
 

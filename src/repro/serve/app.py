@@ -45,7 +45,7 @@ import threading
 import time
 from dataclasses import dataclass
 from http import HTTPStatus
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from ..defaults import ServeConfig
@@ -222,6 +222,11 @@ class GateService:
         self.port: Optional[int] = None  # actual port once bound
         self._started = time.time()
         self._draining = False
+        # Open connections' handler tasks, and the writers of those
+        # waiting for their next request, which drain closes: a handler
+        # left to asyncio.run's cancellation logs a traceback.
+        self._connections: Set["asyncio.Task"] = set()
+        self._idle: Set["asyncio.StreamWriter"] = set()
         self._loop: Optional["asyncio.AbstractEventLoop"] = None
         self._stop: Optional["asyncio.Event"] = None
         self._own_observer = False
@@ -286,6 +291,7 @@ class GateService:
             self._draining = True
             server.close()
             await server.wait_closed()
+            deadline = self._loop.time() + self.config.drain_timeout
             try:
                 await asyncio.wait_for(self.pipeline.drain(),
                                        self.config.drain_timeout)
@@ -293,6 +299,7 @@ class GateService:
                 _LOG.warning("drain timed out after %.1f s with %d jobs "
                              "in flight", self.config.drain_timeout,
                              self.pipeline.in_flight)
+            await self._close_connections(deadline - self._loop.time())
             flusher.cancel()
             try:
                 await flusher
@@ -304,6 +311,16 @@ class GateService:
             if self._own_observer:
                 obs.disable()
             _LOG.info("drained; goodbye")
+
+    async def _close_connections(self, timeout: float) -> None:
+        """Close the idle keep-alive connections and wait up to
+        ``timeout`` for every handler to finish; a busy one closes
+        after its response."""
+        for writer in self._idle:
+            writer.close()
+        if self._connections:
+            await asyncio.wait(set(self._connections),
+                               timeout=max(timeout, 0.0))
 
     def _install_signal_handlers(self) -> None:
         try:
@@ -340,9 +357,12 @@ class GateService:
                                  writer: "asyncio.StreamWriter") -> None:
         peer = writer.get_extra_info("peername")
         client = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "?"
+        self._connections.add(asyncio.current_task())
         try:
             while True:
+                self._idle.add(writer)
                 request = await _read_request(reader)
+                self._idle.discard(writer)
                 if request is None:
                     break
                 keep_alive = await self._dispatch(request, writer, client)
@@ -361,11 +381,13 @@ class GateService:
             except ConnectionError:
                 pass
         finally:
+            self._idle.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+            self._connections.discard(asyncio.current_task())
 
     # -- dispatch -----------------------------------------------------------
 

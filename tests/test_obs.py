@@ -1,5 +1,6 @@
 """Tests for repro.obs: tracer, metrics, exporters, logging."""
 
+import asyncio
 import json
 import logging
 import pickle
@@ -107,6 +108,31 @@ class TestSpanNesting:
         spans = {s["name"]: s for s in obs.spans()}
         assert spans["inner"]["dur_ns"] >= 0
         assert spans["outer"]["dur_ns"] >= spans["inner"]["dur_ns"]
+
+    def test_interleaved_tasks_do_not_nest(self):
+        # Two requests on one event loop, each holding a span open
+        # across an await: neither is the other's parent.
+        obs.enable()
+
+        async def request(name, entered, other_entered):
+            with obs.span(name) as outer:
+                entered.set()
+                await other_entered.wait()
+                with obs.span(name + ".inner"):
+                    await asyncio.sleep(0)
+            return outer
+
+        async def main():
+            a_in, b_in = asyncio.Event(), asyncio.Event()
+            return await asyncio.gather(request("a", a_in, b_in),
+                                        request("b", b_in, a_in))
+
+        a, b = asyncio.run(main())
+        spans = {s["name"]: s for s in obs.spans()}
+        assert spans["a"]["parent_id"] is None
+        assert spans["b"]["parent_id"] is None
+        assert spans["a.inner"]["parent_id"] == a.span_id
+        assert spans["b.inner"]["parent_id"] == b.span_id
 
     def test_drain_clears_collector(self):
         obs.enable()

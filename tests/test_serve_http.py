@@ -260,6 +260,24 @@ class TestHttpRejects:
         assert ServeClient(server.base_url).health()["status"] == "ok"
 
 
+class TestShutdown:
+    def test_idle_keep_alive_connection_closes_cleanly(self, tmp_path,
+                                                        caplog, capfd):
+        srv = ServerThread(ServeConfig(
+            port=0, cache_dir=str(tmp_path / "cache"))).start()
+        with socket.create_connection(("127.0.0.1", srv.port),
+                                      timeout=10.0) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            reply = sock.recv(65536)
+            assert reply.startswith(b"HTTP/1.1 200 "), reply
+            assert b"Connection: keep-alive" in reply
+            srv.stop()  # the answered connection is still open
+            assert sock.recv(65536) == b""  # the drain closed it
+        for text in (caplog.text, capfd.readouterr().err):
+            assert "Traceback" not in text
+            assert "CancelledError" not in text
+
+
 def _counter(text, name):
     """A Prometheus counter's value; an absent counter is 0."""
     for line in text.splitlines():
