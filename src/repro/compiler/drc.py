@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from ..circuits.netlist import TRIANGLE_FAN_OUT
 from ..core.layout import PAPER_WAVELENGTH, PAPER_WIDTH, validate_phase_design
 from ..core.logic import GATE_TYPES
 from ..errors import DRCViolation
@@ -296,10 +297,10 @@ def _check_fanout(placement: "Placement", report: DRCReport) -> None:
     netlist.validate()   # FO2 budget: one consumer per physical net
     for name, inst in sorted(netlist.gates.items()):
         driven = [n for n in inst.outputs if n is not None]
-        # Passive splitters are how a net exceeds the FO2 budget
-        # (Section III-A): their budget is their own output count.
-        gate = GATE_TYPES[inst.gate_type]
-        budget = gate.outputs if gate.excite == 0 \
+        # A splitter with more branches than the triangle's FO2 is how
+        # a net exceeds it (Section III-A): its budget is its branches.
+        outputs = GATE_TYPES[inst.gate_type].outputs
+        budget = outputs if outputs > TRIANGLE_FAN_OUT \
             else placement.rules.max_fanout
         if len(driven) > budget:
             report.violations.append(DRCViolation(

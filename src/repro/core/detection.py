@@ -23,7 +23,6 @@ from typing import Any, Dict, Mapping, Tuple
 import numpy as np
 
 from ..physics.waves import Wave, phase_distance, wrap_phase
-from .logic import GATE_TYPES
 
 
 @dataclass(frozen=True)
@@ -199,9 +198,9 @@ class Readout:
             raise ValueError("threshold must be positive")
 
 
-#: The readout of each gate a gate case can name: the two primitives.
-GATE_READOUTS = {gate.primitive: Readout(gate.readout)
-                 for gate in (GATE_TYPES["MAJ3"], GATE_TYPES["XOR"])}
+#: The readout of each triangle primitive (``GateType.primitive``): a
+#: catalogue gate is read out as the primitive it embeds.
+GATE_READOUTS = {"maj3": Readout("phase"), "xor": Readout("threshold")}
 
 
 def decode(readout: Readout, envelopes: Mapping[str, complex],

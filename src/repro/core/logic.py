@@ -110,9 +110,6 @@ class GateType:
     primitive:
         The embedded triangle gate, ``"maj3"`` or ``"xor"``; None for
         repeaters and splitters.
-    readout:
-        How the primitive's outputs are read: ``"phase"`` (majority) or
-        ``"threshold"`` (X(N)OR); None without a primitive.
     invert:
         The output is inverted: d4 = (n+1/2) lambda on a MAJ3 layout,
         the XNOR threshold convention on an XOR one.
@@ -129,7 +126,6 @@ class GateType:
     excite: int
     detect: int
     primitive: Optional[str]
-    readout: Optional[str]
     invert: bool
     control: Optional[int]
     function: Callable[..., int]
@@ -144,21 +140,21 @@ class GateType:
 
 #: The catalogue: the one declaration of every netlist gate type.
 GATE_TYPES: Dict[str, GateType] = {gate.name: gate for gate in (
-    # name, inputs, outputs, excite, detect, primitive, readout, invert,
-    # control, function
-    GateType("MAJ3", 3, 2, 3, 2, "maj3", "phase", False, None, majority),
-    GateType("NMAJ3", 3, 2, 3, 2, "maj3", "phase", True, None,
+    # name, inputs, outputs, excite, detect, primitive, invert, control,
+    # function
+    GateType("MAJ3", 3, 2, 3, 2, "maj3", False, None, majority),
+    GateType("NMAJ3", 3, 2, 3, 2, "maj3", True, None,
              lambda a, b, c: 1 - majority(a, b, c)),
-    GateType("XOR", 2, 2, 2, 2, "xor", "threshold", False, None, xor),
-    GateType("XNOR", 2, 2, 2, 2, "xor", "threshold", True, None, xnor),
-    GateType("AND", 2, 2, 3, 2, "maj3", "phase", False, 0, and_),
-    GateType("NAND", 2, 2, 3, 2, "maj3", "phase", True, 0, nand),
-    GateType("OR", 2, 2, 3, 2, "maj3", "phase", False, 1, or_),
-    GateType("NOR", 2, 2, 3, 2, "maj3", "phase", True, 1, nor),
-    GateType("NOT", 1, 2, 2, 2, "xor", "threshold", False, 1, not_),
-    GateType("REPEATER", 1, 1, 1, 1, None, None, False, None, _buffer),
-    GateType("SPLITTER2", 1, 2, 0, 0, None, None, False, None, _buffer),
-    GateType("SPLITTER3", 1, 3, 0, 0, None, None, False, None, _buffer),
+    GateType("XOR", 2, 2, 2, 2, "xor", False, None, xor),
+    GateType("XNOR", 2, 2, 2, 2, "xor", True, None, xnor),
+    GateType("AND", 2, 2, 3, 2, "maj3", False, 0, and_),
+    GateType("NAND", 2, 2, 3, 2, "maj3", True, 0, nand),
+    GateType("OR", 2, 2, 3, 2, "maj3", False, 1, or_),
+    GateType("NOR", 2, 2, 3, 2, "maj3", True, 1, nor),
+    GateType("NOT", 1, 2, 2, 2, "xor", False, 1, not_),
+    GateType("REPEATER", 1, 1, 1, 1, None, False, None, _buffer),
+    GateType("SPLITTER2", 1, 2, 0, 0, None, False, None, _buffer),
+    GateType("SPLITTER3", 1, 3, 0, 0, None, False, None, _buffer),
 )}
 
 

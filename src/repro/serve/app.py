@@ -290,8 +290,11 @@ class GateService:
         finally:
             self._draining = True
             server.close()
-            await server.wait_closed()
             deadline = self._loop.time() + self.config.drain_timeout
+            # From Python 3.12.1 on, wait_closed also waits for every
+            # open connection, so the idle ones must go first.
+            self._close_idle()
+            await server.wait_closed()
             try:
                 await asyncio.wait_for(self.pipeline.drain(),
                                        self.config.drain_timeout)
@@ -299,7 +302,10 @@ class GateService:
                 _LOG.warning("drain timed out after %.1f s with %d jobs "
                              "in flight", self.config.drain_timeout,
                              self.pipeline.in_flight)
-            await self._close_connections(deadline - self._loop.time())
+            if self._connections:
+                await asyncio.wait(set(self._connections),
+                                   timeout=max(deadline - self._loop.time(),
+                                               0.0))
             flusher.cancel()
             try:
                 await flusher
@@ -312,15 +318,11 @@ class GateService:
                 obs.disable()
             _LOG.info("drained; goodbye")
 
-    async def _close_connections(self, timeout: float) -> None:
-        """Close the idle keep-alive connections and wait up to
-        ``timeout`` for every handler to finish; a busy one closes
-        after its response."""
+    def _close_idle(self) -> None:
+        """Close the keep-alive connections waiting for a request; a
+        busy one closes after its response, as ``_draining`` is set."""
         for writer in self._idle:
             writer.close()
-        if self._connections:
-            await asyncio.wait(set(self._connections),
-                               timeout=max(timeout, 0.0))
 
     def _install_signal_handlers(self) -> None:
         try:

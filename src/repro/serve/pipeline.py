@@ -64,6 +64,7 @@ histogram ``serve.batch_size`` and gauge ``serve.in_flight``.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -419,8 +420,10 @@ class GatePipeline:
         if self._lane is None:
             # The lane's first step runs at the end of this loop tick
             # (``call_soon``), so requests of the same tick join it.
-            self._lane = asyncio.get_running_loop().create_task(
-                self._run_lane())
+            # It serves every request that queues while it runs, so it
+            # starts from an empty context, outside this request's span.
+            self._lane = contextvars.Context().run(
+                asyncio.get_running_loop().create_task, self._run_lane())
             self._track(self._lane)
 
     async def _run_lane(self) -> None:

@@ -12,7 +12,8 @@ from itertools import product
 import pytest
 
 from repro.circuits import GATE_PORT_COUNTS, CircuitSimulator, Netlist
-from repro.compiler import place, run_drc
+from repro.compiler import DesignRules, place, run_drc
+from repro.core.detection import GATE_READOUTS
 from repro.core.layout import is_phase_inverting
 from repro.core.logic import GATE_TYPES
 from repro.evaluation.circuit_level import spin_wave_circuit_figures
@@ -53,6 +54,22 @@ def test_record_drives_every_layer(name):
 
     figures = spin_wave_circuit_figures(netlist)
     assert figures.device_count == gate.excite + gate.detect
+
+
+@pytest.mark.parametrize("name, flagged", [("SPLITTER2", True),
+                                           ("SPLITTER3", False)])
+def test_splitter_fanout_budget(name, flagged):
+    # Only a splitter with more branches than the triangle's FO2 has
+    # a budget of its own; every other gate keeps the rule deck's.
+    placement = place(_one_gate(GATE_TYPES[name]),
+                      DesignRules(max_fanout=1))
+    rules = [v.rule for v in run_drc(placement).violations]
+    assert ("fanout.budget" in rules) == flagged
+
+
+def test_every_primitive_has_a_readout():
+    primitives = {g.primitive for g in GATE_TYPES.values()} - {None}
+    assert primitives == set(GATE_READOUTS)
 
 
 def test_embeddings_match_functions():

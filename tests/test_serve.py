@@ -245,6 +245,25 @@ class TestBatching:
         assert sorted(r.batch_size for r in results) == [1, 2, 2, 2, 2]
         assert obs.counter("serve.batches").value == 4  # holder + 2 + 2 + 1
 
+    def test_lane_spans_nest_under_no_request(self, tmp_path):
+        """The lane runs batches for every request that queues while it
+        is busy, so none of its spans nests under the request that
+        started it."""
+        obs.enable()
+        pipeline, _ = _pipeline(tmp_path)
+        specs = [JobSpec(quick_add, {"a": i, "b": 700}) for i in range(2)]
+
+        async def main():
+            with obs.span("serve.request") as first:
+                await _queue_behind_held_lane(pipeline, specs)
+            return first
+
+        first = asyncio.run(main())
+        runs = [s for s in obs.spans() if s["name"] == "executor.run"]
+        assert len(runs) == 2  # the holder's batch, then the queued one
+        assert [s["parent_id"] for s in runs] == [None, None]
+        assert first.span_id not in {s["parent_id"] for s in obs.spans()}
+
     def test_same_tick_requests_share_one_batch(self, tmp_path):
         """Without a cache lookup to await, a gather of submits enqueues
         in one loop tick: the idle lane takes them all at once."""
