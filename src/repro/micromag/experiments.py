@@ -22,6 +22,7 @@ benches and the examples:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
@@ -440,18 +441,31 @@ def _model_gate(gate: str, calibrated: bool, frequency: Optional[float]):
     return TriangleXorGate(**kwargs)
 
 
+#: Network-tier gates kept for reuse (one per gate, calibration and
+#: frequency), so each propagates its all-zeros reference once.
+_NETWORK_GATES = 32
+
+
+@functools.lru_cache(maxsize=_NETWORK_GATES)
+def _network_gate(gate: str, calibrated: bool, frequency: Optional[float]):
+    """The shared network-tier gate instance (see ``_model_gate``)."""
+    return _model_gate(gate, calibrated, frequency)
+
+
 def _evaluate_model_tier(gate: str, bits: Tuple[int, ...], tier: str,
                          calibrated: bool, frequency: Optional[float],
                          instance: Any = None) -> Dict[str, Any]:
     """Network/FDTD evaluation plus the Table I/II normalisation, as a
     case in the shape :func:`run_gate_case` returns.  ``instance`` is a
-    gate whose FDTD basis is already seeded; without one, a fresh gate
-    is built behind the ``{tier}.evaluate`` fault site."""
+    gate whose FDTD basis is already seeded; without one, the gate is
+    taken behind the ``{tier}.evaluate`` fault site: the shared
+    network-tier instance, or a fresh FDTD one."""
     if instance is None:
         from ..resilience import faults
 
         faults.trip(f"{tier}.evaluate")
-        instance = _model_gate(gate, calibrated, frequency)
+        instance = (_network_gate if tier == "network" else _model_gate)(
+            gate, calibrated, frequency)
     result = instance.evaluate(bits, backend=tier)
     if (gate == "maj3" and instance.calibration is not None
             and tier == "network"):

@@ -35,6 +35,7 @@ shuts its pool down without waiting.
 from __future__ import annotations
 
 import concurrent.futures as cf
+import logging
 import os
 import pickle
 import random
@@ -337,16 +338,21 @@ class Executor:
             assert outcome is not None
             report.add(outcome.record)
         finished = report.finish()
-        _LOG.info("run finished: %s", finished.summary().replace("\n", "; "))
+        if _LOG.isEnabledFor(logging.INFO):
+            _LOG.info("run finished: %s",
+                      finished.summary().replace("\n", "; "))
         return RunResult(list(outcomes), finished)
 
     def _commit(self, outcome: JobOutcome) -> None:
         """Durably commit one outcome the moment it is known.
 
-        Write-through semantics: the result cache entry and the
+        Write-through semantics where the executor owns the cache (CLI
+        sweeps, cluster workers): the result cache entry and the
         journal ``done`` record land as each job finishes, not when
         the whole batch does -- a run killed mid-batch keeps every
-        completed result, which is what makes ``--resume`` cheap.
+        completed result, which is what makes ``--resume`` cheap.  The
+        service's executors have no cache; its pipeline stores each
+        answer instead.
         """
         if outcome.key in self._interrupted_now:
             outcome.record.notes = "resumed-after-interrupt"

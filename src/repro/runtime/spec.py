@@ -179,8 +179,19 @@ class JobSpec:
                 f"{getattr(self.fn, '__qualname__', repr(self.fn))}")
 
     def key(self, salt: Optional[str] = None) -> str:
-        """Deterministic content-addressed cache key."""
-        return job_key(self._key_ref, self.params, salt)
+        """Deterministic content-addressed cache key.
+
+        Computed once per salt and memoized on the instance, outside
+        the dataclass fields (so ``==``, ``hash`` and ``repr`` ignore
+        it): ``params`` must not change after the first call.
+        """
+        if salt is None:
+            salt = default_salt()
+        memo = self.__dict__.setdefault("_key_memo", {})
+        key = memo.get(salt)
+        if key is None:
+            key = memo[salt] = job_key(self._key_ref, self.params, salt)
+        return key
 
     def seed(self, salt: Optional[str] = None, stream: int = 0) -> int:
         """A 64-bit RNG seed derived from the job key.

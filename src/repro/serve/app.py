@@ -27,7 +27,7 @@ accepting, finish in-flight requests, flush logs and span artifacts).
 Two executors back the pipeline: a serial in-process one for the
 analytic network tier (microseconds per evaluation -- a process pool
 would only add latency) and a pooled one for the fdtd/llg solver
-tiers, both sharing one result cache.
+tiers.  Neither has a cache: the pipeline owns the result cache.
 
 Embedding: :class:`ServerThread` runs a service on a daemon thread
 with its own event loop -- how the tests, the throughput benchmark and
@@ -204,11 +204,12 @@ class GateService:
         # pipeline's fast lane runs them serially on the event loop.
         # Solver tiers get a thread and the pool -- or, with
         # ``--backend tcp://...``, the cluster -- and the job timeout.
+        # The pipeline owns the cache (one lookup per request, one put
+        # after each answer), so the executors have none.
         from ..runtime.backend import create_backend
 
-        self.fast_executor = Executor(workers=1, cache=self.cache)
+        self.fast_executor = Executor(workers=1)
         self.heavy_executor = Executor(workers=self.config.workers,
-                                       cache=self.cache,
                                        timeout=self.config.timeout,
                                        backend=create_backend(
                                            self.config.backend))

@@ -11,7 +11,9 @@ Every gate evaluation entering the service flows through one
 2. **Cache fast path.**  A key with a stored result returns straight
    from the :class:`ResultCache` ("cached") without touching the
    executor, the admission queue or the rate limiter -- hits are too
-   cheap to be worth limiting.
+   cheap to be worth limiting.  This is the request's only cache
+   lookup: the pipeline owns the cache, and the executors it runs
+   jobs on have none of their own.
 3. **Admission control.**  New work is bounded two ways: a counter of
    jobs queued-or-running (``max_queue``) and an optional token-bucket
    rate limiter.  Either limit raises :class:`Overloaded`, which the
@@ -30,16 +32,27 @@ Every gate evaluation entering the service flows through one
    marked batchable (solver tiers, compiles) skip the lane and run as
    single-spec batches in a thread (:func:`repro.runtime.aio.run_async`),
    so a solver run never holds the loop ("computed").
+5. **One put, after the answer.**  Each computed result is stored in
+   the cache once, after its request future is resolved: a fast-lane
+   batch after its waiters have had :data:`LANE_YIELD_TURNS` loop
+   turns to write their responses, a single job as soon as it is
+   answered.  The key stays in flight until its put has landed, so an
+   identical request in that gap coalesces onto the answer instead of
+   computing it again, and :meth:`drain` stores everything before
+   shutdown.  A put that fails costs only that cache entry
+   (``serve.cache_put_failed``): the answer has gone out.
 
-The cache lookup and the fast lane run on the event loop: a thread
-hop costs more than the work, and the GIL would serialise the two
-anyway.  The loop is held for at most one batch of at most
-``batch_max`` network jobs; between batches the lane gives the loop
-:data:`LANE_YIELD_TURNS` turns, enough to answer a request that
-arrived during the batch (``/healthz``, a cache hit) or to deliver an
-expired deadline's ``504``.  A running batch cannot be interrupted.
-Computations run as background tasks, so a disconnecting client
-cannot cancel work that other coalesced requests are waiting on.
+The cache lookup, the fast lane and its puts run on the event loop: a
+thread hop costs more than the work, and the GIL would serialise the
+two anyway.  The loop is held for at most one batch of at most
+``batch_max`` network jobs; after each batch the lane gives the loop
+:data:`LANE_YIELD_TURNS` turns, enough to answer the batch's requests
+and any that arrived during it (``/healthz``, a cache hit) or to
+deliver an expired deadline's ``504``; then it stores the batch's
+results and starts the next batch.  A running batch cannot be
+interrupted.  Computations run as background tasks, so a
+disconnecting client cannot cancel work that other coalesced requests
+are waiting on.
 
 Resilience (see ``docs/RESILIENCE.md``): each job family (the
 ``breaker_key`` the caller passes, normally the solver tier) gets a
@@ -58,7 +71,8 @@ Metrics (``repro.obs`` registry, served by ``GET /metrics``):
 ``serve.coalesced``, ``serve.cache_fastpath``, ``serve.rejected_queue``,
 ``serve.rejected_rate``, ``serve.rejected_circuit``,
 ``serve.deadline_exceeded``, ``serve.batches``, ``serve.batched``,
-histogram ``serve.batch_size`` and gauge ``serve.in_flight``.
+``serve.cache_put_failed``, histogram ``serve.batch_size`` and gauge
+``serve.in_flight``.
 """
 
 from __future__ import annotations
@@ -75,7 +89,6 @@ from ..resilience.circuit import CircuitBreaker
 from ..runtime.aio import run_async
 from ..runtime.cache import ResultCache
 from ..runtime.executor import Executor, JobFailed
-from ..runtime.report import STATUS_HIT
 from ..runtime.spec import JobSpec
 
 _LOG = obs.get_logger("serve.pipeline")
@@ -86,11 +99,11 @@ SOURCE_COMPUTED = "computed"    # executed as its own job
 SOURCE_BATCHED = "batched"      # executed inside a micro-batch (> 1)
 SOURCE_COALESCED = "coalesced"  # shared an in-flight identical request
 
-#: Turns of the event loop between two fast-lane batches.  What became
-#: ready while a batch held the loop takes several turns to be
-#: answered: a request on an open connection or an expired deadline
-#: two, a request on a new connection seven (CPython 3.11).  The next
-#: batch starts after all of them.
+#: Turns of the event loop after each fast-lane batch, before its puts
+#: and the next batch.  What became ready while a batch held the loop
+#: takes several turns to be answered: the batch's own requests, a
+#: request on an open connection or an expired deadline two, a request
+#: on a new connection seven (CPython 3.11).
 LANE_YIELD_TURNS = 8
 
 
@@ -171,9 +184,10 @@ class GatePipeline:
     executor:
         Default :class:`Executor` for single (non-batched) jobs.
     cache:
-        Shared :class:`ResultCache` for the fast path -- normally the
-        same instance the executor uses.  None disables the fast path
-        (the executor may still hit its own cache).
+        The :class:`ResultCache` the pipeline owns: the fast-path
+        lookup and the one put of every computed answer.  None
+        disables both.  The executors should have no cache of their
+        own, or every result is looked up and stored twice.
     max_queue:
         Upper bound on jobs queued-or-running; further new work is
         rejected with 429 semantics.
@@ -348,7 +362,8 @@ class GatePipeline:
 
     async def drain(self) -> None:
         """Wait for all in-flight work, including every queued batch
-        (the fast lane runs its queue dry before it stops)."""
+        (the fast lane runs its queue dry before it stops) and the put
+        of every answer."""
         while self._tasks:
             await asyncio.gather(*list(self._tasks),
                                  return_exceptions=True)
@@ -384,23 +399,33 @@ class GatePipeline:
         if future.done():
             return
         if outcome.ok:
-            if outcome.record.status == STATUS_HIT:
-                source = SOURCE_CACHED
-            elif batch_size > 1:
-                source = SOURCE_BATCHED
-            else:
-                source = SOURCE_COMPUTED
+            source = SOURCE_BATCHED if batch_size > 1 else SOURCE_COMPUTED
             future.set_result(_Resolved(outcome.value, source, batch_size))
         else:
             future.set_exception(JobFailed(
                 outcome.record.error or "job failed after retries"))
+
+    def _put(self, key: str, value: Any) -> None:
+        """Store one answered result.  Its request has been answered,
+        so a failed put costs only the cache entry."""
+        if self.cache is None:
+            return
+        try:
+            self.cache.put(key, value)
+        except Exception as exc:
+            obs.counter("serve.cache_put_failed").inc()
+            _LOG.warning("answered %s but could not cache it: %s",
+                         key[:12], exc)
 
     async def _compute_single(self, key: str, spec: JobSpec,
                               future: "asyncio.Future",
                               executor: Executor) -> None:
         try:
             result = await run_async(executor, [spec])
-            self._resolve(future, result.outcomes[0], 1)
+            outcome = result.outcomes[0]
+            self._resolve(future, outcome, 1)
+            if outcome.ok:
+                self._put(key, outcome.value)
         except ReproError as exc:  # typed failure: expected, not logged
             if not future.done():
                 future.set_exception(exc)
@@ -429,34 +454,44 @@ class GatePipeline:
     async def _run_lane(self) -> None:
         """Group commit: run the queue one batch at a time, each batch
         taking everything that queued behind the one before it.  The
-        first batch starts at once; before each later one the loop
-        gets :data:`LANE_YIELD_TURNS` turns."""
+        first batch starts at once; after each batch the loop gets
+        :data:`LANE_YIELD_TURNS` turns, then the batch's results are
+        stored and its keys leave flight."""
         try:
-            while True:
+            while self._queue:
                 batch = self._queue[:self.batch_max]
                 del self._queue[:self.batch_max]
-                self._run_batch(batch)
-                if not self._queue:
-                    break
-                for _turn in range(LANE_YIELD_TURNS):
-                    await asyncio.sleep(0)
+                try:
+                    answered = self._run_batch(batch)
+                    for _turn in range(LANE_YIELD_TURNS):
+                        await asyncio.sleep(0)
+                    for key, value in answered:
+                        self._put(key, value)
+                finally:
+                    for key, _spec, _future, _e in batch:
+                        self._release(key)
         finally:
             self._lane = None
 
     def _run_batch(self, batch: List[Tuple[str, JobSpec, "asyncio.Future",
-                                           Executor]]) -> None:
-        """Run one batch on the loop and resolve its futures."""
+                                           Executor]]
+                   ) -> List[Tuple[str, Any]]:
+        """Run one batch on the loop and resolve its futures; returns
+        the ``(key, value)`` of every answered job, to be stored."""
         size = len(batch)
         obs.counter("serve.batches").inc()
         obs.histogram("serve.batch_size").observe(size)
         if size > 1:
             obs.counter("serve.batched").inc(size)
         executor = batch[0][3]  # batchable jobs share the fast executor
+        answered: List[Tuple[str, Any]] = []
         try:
             result = executor.run([spec for _key, spec, _f, _e in batch])
-            for (_key, _spec, future, _e), outcome in zip(
+            for (key, _spec, future, _e), outcome in zip(
                     batch, result.outcomes):
                 self._resolve(future, outcome, size)
+                if outcome.ok:
+                    answered.append((key, outcome.value))
         except ReproError as exc:
             _LOG.warning("batch of %d failed: %s", size, exc)
             for _key, _spec, future, _e in batch:
@@ -468,6 +503,4 @@ class GatePipeline:
             for _key, _spec, future, _e in batch:
                 if not future.done():
                     future.set_exception(exc)
-        finally:
-            for key, _spec, _future, _e in batch:
-                self._release(key)
+        return answered

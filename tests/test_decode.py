@@ -235,6 +235,8 @@ class TestPropagationCount:
         ("maj3", [0, 1, 1], True)])
     def test_network_case_costs_two_propagations(self, monkeypatch, gate,
                                                  bits, calibrated):
+        from repro.micromag.experiments import _network_gate
+
         calls = []
         original = WaveNetwork.propagate
 
@@ -243,8 +245,12 @@ class TestPropagationCount:
             return original(self, injections)
 
         monkeypatch.setattr(WaveNetwork, "propagate", counting)
+        _network_gate.cache_clear()
         run_gate_case(gate, bits, "network", calibrated=calibrated)
         assert len(calls) == 2  # the pattern and the all-zeros reference
+        # The gate is kept: a repeat propagates its pattern only.
+        run_gate_case(gate, bits, "network", calibrated=calibrated)
+        assert len(calls) == 3
 
 
 class TestOneInterface:

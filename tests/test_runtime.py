@@ -268,6 +268,24 @@ class TestExecutor:
 
 
 class TestRunReport:
+    def test_summary_is_not_built_when_info_is_off(self, monkeypatch):
+        import logging
+
+        from repro.runtime.report import RunReport
+
+        def exploding(self):
+            raise AssertionError("summary built for a log line not logged")
+
+        monkeypatch.setattr(RunReport, "summary", exploding)
+        logger = logging.getLogger("repro")
+        previous = logger.level
+        logger.setLevel(logging.WARNING)
+        try:
+            result = Executor(retries=0).run([JobSpec(add, {"a": 1, "b": 2})])
+        finally:
+            logger.setLevel(previous)
+        assert result.values == [3]
+
     def test_telemetry_aggregates_and_json(self, tmp_path):
         executor = Executor(cache=MemoryCache(), retries=0, backoff=0.01)
         executor.map(add, [{"a": 1, "b": 2}])

@@ -81,8 +81,10 @@ def quick_add(a, b):
 
 
 def _pipeline(tmp_path, **kwargs):
+    """A pipeline that owns its cache, over a cache-less executor (as
+    ``GateService`` builds them)."""
+    executor = Executor(workers=1)
     cache = DiskCache(root=str(tmp_path / "cache"))
-    executor = Executor(cache=cache, workers=1)
     return GatePipeline(executor, cache=cache, **kwargs), executor
 
 
@@ -157,10 +159,10 @@ class TestCoalescing:
         """A corrupt on-disk entry read through the coalescing path must
         be treated as a miss and recomputed -- never surfaced as an
         error to any of the coalesced requests."""
-        pipeline, executor = _pipeline(tmp_path)
+        pipeline, _ = _pipeline(tmp_path)
         spec = JobSpec(quick_add, {"a": 6, "b": 7})
         asyncio.run(pipeline.submit(spec))  # populate the entry
-        json_path, _ = executor.cache._paths(spec.key(pipeline.salt))
+        json_path, _ = pipeline.cache._paths(spec.key(pipeline.salt))
         with open(json_path, "w") as handle:
             handle.write("{ truncated")
 
@@ -265,10 +267,10 @@ class TestBatching:
         assert first.span_id not in {s["parent_id"] for s in obs.spans()}
 
     def test_same_tick_requests_share_one_batch(self, tmp_path):
-        """Without a cache lookup to await, a gather of submits enqueues
-        in one loop tick: the idle lane takes them all at once."""
-        cache = DiskCache(root=str(tmp_path / "cache"))
-        pipeline = GatePipeline(Executor(cache=cache, workers=1))
+        """The cache lookup is not awaited, so a gather of submits
+        enqueues in one loop tick: the idle lane takes them all at
+        once."""
+        pipeline, _ = _pipeline(tmp_path)
         specs = [JobSpec(quick_add, {"a": i, "b": 400}) for i in range(3)]
 
         async def main():
@@ -290,24 +292,29 @@ class TestBatching:
 
     def test_idle_lane_never_sleeps(self, tmp_path, monkeypatch):
         """Group commit has no collection window: a request that finds
-        the lane idle runs at once."""
+        the lane idle is answered before the lane sleeps at all, and
+        the lane's only sleeps are zero-delay loop turns."""
         from repro.serve import pipeline as pipeline_module
 
         sleeps = []
         real_sleep = asyncio.sleep
+        pipeline, _ = _pipeline(tmp_path)
 
         async def recording_sleep(delay, *args, **kwargs):
             # Recorded, not raised: an error thrown into the lane task
             # would leave the request waiting instead of failing.
-            sleeps.append(delay)
+            sleeps.append((delay, [future.done() for future
+                                   in pipeline._inflight.values()]))
             return await real_sleep(delay, *args, **kwargs)
 
         monkeypatch.setattr(pipeline_module.asyncio, "sleep",
                             recording_sleep)
-        pipeline, _ = _pipeline(tmp_path)
         result = asyncio.run(pipeline.submit(
             JobSpec(quick_add, {"a": 5, "b": 500}), batchable=True))
-        assert sleeps == [], f"the fast lane slept {sleeps}"
+        assert sleeps and sleeps[0][1] == [True], \
+            f"the request was not answered before the lane slept: {sleeps}"
+        assert [delay for delay, _done in sleeps if delay > 0] == [], \
+            f"the fast lane slept {sleeps}"
         assert result.value == 505
         assert result.source == SOURCE_COMPUTED
         assert result.batch_size == 1
@@ -325,6 +332,168 @@ class TestBatching:
         results = asyncio.run(main())
         assert [r.value for r in results] == [3, 600, 601, 602]
         assert sorted(r.batch_size for r in results[1:]) == [1, 2, 2]
+
+
+class _HashableParams(dict):
+    """Job parameters that make a JobSpec hashable."""
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.items())))
+
+
+def _wait_stored(server, timeout=10.0):
+    """Wait until the server's pipeline has stored every answer (no key
+    is in flight)."""
+    deadline = time.monotonic() + timeout
+    while server.service.pipeline.in_flight:
+        assert time.monotonic() < deadline, "answers never stored"
+        time.sleep(0.005)
+
+
+class RecordingCache(DiskCache):
+    """A disk cache that counts its lookups and, at each put, records
+    whether the pipeline had answered that key's request."""
+
+    def __init__(self, root):
+        super().__init__(root=root)
+        self.pipeline = None
+        self.gets = 0
+        self.puts = []  # (key, future done, submit task done)
+        self.submits = {}
+
+    def get(self, key):
+        self.gets += 1
+        return super().get(key)
+
+    def put(self, key, value):
+        task = self.submits.get(key)
+        self.puts.append((key, self.pipeline._inflight[key].done(),
+                          task is not None and task.done()))
+        super().put(key, value)
+
+
+class TestCacheOwnership:
+    """The pipeline owns the cache: one lookup per request, and one put
+    per computed answer, after the answer."""
+
+    def _owning_pipeline(self, tmp_path):
+        cache = RecordingCache(str(tmp_path / "cache"))
+        pipeline = GatePipeline(Executor(workers=1), cache=cache)
+        cache.pipeline = pipeline
+        return pipeline, cache
+
+    @pytest.mark.parametrize("batchable", [True, False])
+    def test_answer_comes_before_the_put(self, tmp_path, batchable):
+        pipeline, cache = self._owning_pipeline(tmp_path)
+        spec = JobSpec(quick_add, {"a": 1, "b": 800 + batchable})
+        key = spec.key(pipeline.salt)
+
+        async def main():
+            task = asyncio.ensure_future(
+                pipeline.submit(spec, batchable=batchable))
+            cache.submits[key] = task
+            served = await task
+            await pipeline.drain()
+            return served
+
+        served = asyncio.run(main())
+        assert served.value == 801 + batchable
+        assert cache.gets == 1  # the cold miss: one lookup, no second
+        assert len(cache.puts) == 1
+        put_key, future_done, task_done = cache.puts[0]
+        assert put_key == key and future_done
+        if batchable:  # the lane also lets the waiter return first
+            assert task_done
+        assert DiskCache(root=str(tmp_path / "cache")).get(key) == (
+            True, served.value)
+
+    def test_repeat_inside_the_gap_coalesces(self, tmp_path):
+        CALLS["n"] = 0
+        pipeline, cache = self._owning_pipeline(tmp_path)
+        spec = JobSpec(counted_add, {"a": 2, "b": 810})
+
+        async def main():
+            first = await pipeline.submit(spec, batchable=True)
+            # Answered, not yet stored: the key is still in flight.
+            assert cache.puts == []
+            repeat = await pipeline.submit(spec, batchable=True)
+            await pipeline.drain()
+            stored = await pipeline.submit(spec, batchable=True)
+            return first, repeat, stored
+
+        first, repeat, stored = asyncio.run(main())
+        assert CALLS["n"] == 1
+        assert first.source == SOURCE_COMPUTED
+        assert repeat.source == SOURCE_COALESCED
+        assert stored.source == SOURCE_CACHED
+        assert [r.value for r in (first, repeat, stored)] == [812] * 3
+        assert len(cache.puts) == 1
+
+    def test_drain_stores_every_answered_key(self, tmp_path):
+        pipeline, _ = _pipeline(tmp_path, batch_max=2)
+        specs = [JobSpec(quick_add, {"a": i, "b": 820}) for i in range(5)]
+
+        async def main():
+            served = await asyncio.gather(
+                *(pipeline.submit(s, batchable=i > 0)
+                  for i, s in enumerate(specs)))
+            await pipeline.drain()
+            return served
+
+        served = asyncio.run(main())
+        fresh = DiskCache(root=str(tmp_path / "cache"))
+        assert [fresh.get(s.key) for s in served] == [
+            (True, 820 + i) for i in range(5)]
+
+    def test_failed_put_after_the_answer_is_still_a_200(self, tmp_path,
+                                                        caplog):
+        faults.install(FaultPlan(specs=[
+            FaultSpec(site="cache.store", kind="error", at=1, count=1)]))
+        with _server(tmp_path, breaker_threshold=1) as server:
+            client = ServeClient(server.base_url, retries=0)
+            answer = client.gate("xor", [0, 1])
+            assert answer["result"]["correct"] is True
+            _wait_stored(server)
+            health = client.health()
+            text = client.metrics()
+        assert health["status"] == "ok"
+        assert health["circuits"]["tier:network"]["failures"] == 0
+        assert _metric_value(
+            text, "repro_serve_cache_put_failed_total") == 1
+        assert "could not cache it" in caplog.text
+
+    def test_cold_miss_makes_one_cache_lookup(self, tmp_path, monkeypatch):
+        gets = []
+        real_get = DiskCache.get
+
+        def counting_get(self, key):
+            gets.append(key)
+            return real_get(self, key)
+
+        monkeypatch.setattr(DiskCache, "get", counting_get)
+        with _server(tmp_path) as server:
+            answer = ServeClient(server.base_url).gate("maj3", [0, 1, 1])
+        assert answer["served"]["source"] == SOURCE_COMPUTED
+        assert gets == [answer["served"]["key"]]
+
+    def test_key_memo_is_salt_aware_and_invisible(self):
+        import pickle
+
+        from repro.runtime.spec import job_key
+
+        spec = JobSpec(quick_add, _HashableParams(a=1, b=2), label="memo")
+        twin = JobSpec(quick_add, _HashableParams(a=1, b=2), label="memo")
+        ref = spec.ref
+        assert spec.key("s1") == job_key(ref, spec.params, "s1")
+        assert spec.key("s2") == job_key(ref, spec.params, "s2")
+        assert spec.key("s1") != spec.key("s2")
+        assert spec.key() == job_key(ref, spec.params)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert repr(spec) == repr(twin)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+        assert copy.key("s1") == spec.key("s1")
+        assert copy.key("s3") == job_key(ref, spec.params, "s3")
 
 
 class TestBackpressure:
@@ -393,6 +562,7 @@ class TestHttpService:
             assert first["result"]["correct"] is True
             assert first["served"]["source"] in (SOURCE_COMPUTED,
                                                 SOURCE_BATCHED)
+            _wait_stored(server)  # a repeat before the put coalesces
             again = client.gate("xor", [1, 0])
             assert again["served"]["source"] == SOURCE_CACHED
 
@@ -586,6 +756,7 @@ class TestSurrogateServing:
             # The fallback is cached under the network spec; a second
             # hit must STILL carry the annotation (applied after
             # retrieval, not baked into the cached value).
+            _wait_stored(server)
             again = client.gate("xor", [1, 0], tier="surrogate",
                                 frequency=12e9)
             assert again["served"]["source"] == SOURCE_CACHED
@@ -981,3 +1152,7 @@ class TestServeSubprocess:
             served = answers[bits][2]["served"]
             assert served["source"] == SOURCE_BATCHED
             assert served["batch_size"] == 2
+        # The drain stored every answer before the process exited.
+        fresh = DiskCache(root=str(tmp_path / "cache"))
+        for status, _headers, body in answers.values():
+            assert fresh.get(body["served"]["key"]) == (True, body["result"])
