@@ -79,12 +79,16 @@ class WaveNetwork:
         self.attenuation = attenuation
         self._edges: List[Edge] = []
         self._nodes: Dict[str, None] = {}
+        # (node, edges leaving it) in topological order; built by the
+        # first propagate after a change to the graph.
+        self._order: Optional[List[Tuple[str, List[Edge]]]] = None
 
     # -- construction -------------------------------------------------------------
 
     def add_node(self, name: str) -> None:
         """Declare a node (sources/sinks are added implicitly by edges)."""
         self._nodes[name] = None
+        self._order = None
 
     def add_edge(self, source: str, target: str, length: float,
                  transmission: float = 1.0) -> None:
@@ -92,6 +96,7 @@ class WaveNetwork:
         self._nodes[source] = None
         self._nodes[target] = None
         self._edges.append(Edge(source, target, length, transmission))
+        self._order = None
 
     @property
     def nodes(self) -> List[str]:
@@ -101,26 +106,34 @@ class WaveNetwork:
     def edges(self) -> List[Edge]:
         return list(self._edges)
 
-    def _topological_order(self) -> List[str]:
-        """Kahn's algorithm; raises on cycles (waveguide loops need the
-        full solvers, not this feed-forward model)."""
-        indegree = {n: 0 for n in self._nodes}
+    def _topological_order(self) -> List[Tuple[str, List[Edge]]]:
+        """Every node in a topological order, each with the edges
+        leaving it in the order they were added.
+
+        Kahn's algorithm, run once per graph: :meth:`add_node` and
+        :meth:`add_edge` drop the result.  Raises on cycles (waveguide
+        loops need the full solvers, not this feed-forward model).
+        """
+        if self._order is not None:
+            return self._order
+        outgoing: Dict[str, List[Edge]] = {n: [] for n in self._nodes}
+        remaining = {n: 0 for n in self._nodes}
         for e in self._edges:
-            indegree[e.target] += 1
-        ready = [n for n, d in indegree.items() if d == 0]
-        order: List[str] = []
-        remaining = dict(indegree)
+            outgoing[e.source].append(e)
+            remaining[e.target] += 1
+        ready = [n for n, d in remaining.items() if d == 0]
+        order: List[Tuple[str, List[Edge]]] = []
         while ready:
             node = ready.pop()
-            order.append(node)
-            for e in self._edges:
-                if e.source == node:
-                    remaining[e.target] -= 1
-                    if remaining[e.target] == 0:
-                        ready.append(e.target)
+            order.append((node, outgoing[node]))
+            for e in outgoing[node]:
+                remaining[e.target] -= 1
+                if remaining[e.target] == 0:
+                    ready.append(e.target)
         if len(order) != len(self._nodes):
             raise ValueError("propagation graph has a cycle; the "
                              "feed-forward network model cannot evaluate it")
+        self._order = order
         return order
 
     # -- evaluation ---------------------------------------------------------------
@@ -146,14 +159,11 @@ class WaveNetwork:
             raise KeyError(f"injection at unknown node(s) {sorted(unknown)}")
         envelope: Dict[str, complex] = {
             n: complex(injections.get(n, 0.0)) for n in self._nodes}
-        order = self._topological_order()
-        for node in order:
+        for node, leaving in self._topological_order():
             value = envelope[node]
             if value == 0:
                 continue
-            for e in self._edges:
-                if e.source != node:
-                    continue
+            for e in leaving:
                 factor = (e.transmission
                           * self.attenuation.path_factor(e.length)
                           * cmath.exp(-1j * self.wavenumber * e.length))

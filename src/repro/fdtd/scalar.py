@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
+from .._align import aligned
 from ..errors import CheckpointError
 from ..resilience import faults
 from ..resilience.checkpoint import (
@@ -38,23 +39,6 @@ from ..resilience.checkpoint import (
     geometry_meta,
 )
 from ..resilience.guardrails import Watchdog
-
-
-#: Byte alignment of the step loop's packed vectors.  NumPy only
-#: guarantees 16; where malloc happens to place a vector then decides
-#: whether the SIMD loops split cache lines, which moved a cold XOR
-#: sweep by 10-20 % on x86-64 between two heap layouts.
-_ALIGN = 64
-
-
-def _aligned(values: np.ndarray) -> np.ndarray:
-    """A copy of ``values`` that starts on an ``_ALIGN``-byte boundary."""
-    buffer = np.empty(values.nbytes + _ALIGN, dtype=np.uint8)
-    start = -buffer.ctypes.data % _ALIGN
-    out = buffer[start:start + values.nbytes].view(values.dtype)
-    out = out.reshape(values.shape)
-    out[...] = values
-    return out
 
 
 @dataclass
@@ -194,16 +178,16 @@ class ScalarWaveSimulator:
         iy += 1
         ix += 1
         # Neighbour table (4, N): up, down, left, right.
-        self._table = _aligned(np.stack([index[iy - 1, ix],
-                                         index[iy + 1, ix],
-                                         index[iy, ix - 1],
-                                         index[iy, ix + 1]]))
+        self._table = aligned(np.stack([index[iy - 1, ix],
+                                        index[iy + 1, ix],
+                                        index[iy, ix - 1],
+                                        index[iy, ix + 1]]))
         self._n_cells = n
         # Each step writes the new field over the oldest one.
-        self._u = _aligned(np.zeros(n + 1))
-        self._u_prev = _aligned(np.zeros(n + 1))
-        self._gather = _aligned(np.zeros((4, n)))
-        self._scratch = _aligned(np.zeros(n))
+        self._u = aligned(np.zeros(n + 1))
+        self._u_prev = aligned(np.zeros(n + 1))
+        self._gather = aligned(np.zeros((4, n)))
+        self._scratch = aligned(np.zeros(n))
         self.t = 0.0
         self.step_count = 0
         self.progress = progress
@@ -221,9 +205,9 @@ class ScalarWaveSimulator:
         c2 = (self.speed * self.dt / dx) ** 2
         damp = self.gamma[mask] * self.dt
         scale = 1.0 / (1.0 + damp)
-        self._coef_u = _aligned((2.0 - c2 * n_neighbours) * scale)
-        self._coef_prev = _aligned(-(1.0 - damp) * scale)
-        self._coef_neighbours = _aligned(c2 * scale)
+        self._coef_u = aligned((2.0 - c2 * n_neighbours) * scale)
+        self._coef_prev = aligned(-(1.0 - damp) * scale)
+        self._coef_neighbours = aligned(c2 * scale)
 
     # -- construction helpers -----------------------------------------------------
 

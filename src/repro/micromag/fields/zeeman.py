@@ -8,7 +8,7 @@ field ``H_ext(r, t)`` as a static part plus any number of registered
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -38,13 +38,17 @@ class ZeemanField:
         self.layout = CellLayout(mesh, mask)
         self.mask = self.layout.mask
         self.sources: List = []
-        # The unit-amplitude drive of each source on the source columns
-        # (the packed cells some source covers), one (3 K) row per
-        # source; the flat indices of those columns in a packed (3, N)
-        # field; and the sources they were built for.
-        self._profiles = np.zeros((0, 0))
-        self._flat = np.zeros(0, dtype=np.intp)
-        self._profiled: List = []
+        # Rebuilt by _refresh when the sources or the bias change: the
+        # packed (3, N) profile of each source; the folded form's rows,
+        # their cyclic directions and the source each one belongs to
+        # (len(sources) for the bias); and the columns of the last two
+        # times asked for, as (t, columns) pairs.
+        self._key: Optional[tuple] = None
+        self._profiles = np.zeros((0, 3, self.layout.n_cells))
+        self._rows = np.zeros((0, self.layout.n_cells))
+        self._directions = np.zeros((5, 0))
+        self._owners = np.zeros(0, dtype=np.intp)
+        self._recent: List[tuple] = []
 
     def add_source(self, source) -> None:
         """Register an excitation source (duck-typed: ``.waveform(t)``
@@ -52,36 +56,75 @@ class ZeemanField:
         :class:`~repro.micromag.excitation.ExcitationSource`)."""
         self.sources.append(source)
 
-    def field(self, m: np.ndarray = None, t: float = 0.0,
-              onto: np.ndarray = None) -> np.ndarray:
-        """Total applied field [A/m] at time ``t``.
+    def _refresh(self) -> None:
+        """Rebuild the packed profiles and the folded rows when the
+        sources (compared by identity) or the bias changed."""
+        key = (tuple(self.sources), self.static_field.tobytes())
+        if key == self._key:
+            return
+        self._key = key
+        n = self.layout.n_cells
+        self._profiles = np.array(
+            [self.layout.pack(source.profile(self.mesh))
+             for source in self.sources]).reshape(len(self.sources), 3, n)
+        rows, directions, owners = [], [], []
+        for index, profile in enumerate(self._profiles):
+            for direction, row in _factor(profile):
+                rows.append(row)
+                directions.append(direction)
+                owners.append(index)
+        if self.static_field.any():
+            rows.append(np.ones(n))
+            directions.append(self.static_field)
+            owners.append(len(self.sources))
+        self._rows = np.array(rows).reshape(len(rows), n)
+        directions = np.array(directions).reshape(len(rows), 3).T
+        self._directions = np.vstack([directions, directions[:2]])
+        self._owners = np.array(owners, dtype=np.intp)
+        self._recent = []
+
+    def field(self, m: np.ndarray = None, t: float = 0.0) -> np.ndarray:
+        """Total applied field [A/m] at time ``t``: the bias plus each
+        source's ``waveform(t) * profile``.
 
         The magnetisation only selects the form: packed ``(3, N)`` for a
         packed ``m``, the canvas when ``m`` is a canvas or ``None``.
-        With ``onto``, a packed field, the applied field is instead
-        added to it in place -- the drive on the source columns only --
-        and ``onto`` is returned.
+        The time loops do not call this: the same field reaches them
+        folded into the exchange operator (:meth:`folded`).
         """
-        if self._profiled != self.sources:  # sources compare by identity
-            self._profiled = list(self.sources)
-            n = self.layout.n_cells
-            profiles = np.array(
-                [self.layout.pack(source.profile(self.mesh))
-                 for source in self.sources]).reshape(
-                     len(self.sources), 3, n)
-            columns = np.flatnonzero(np.any(profiles, axis=(0, 1)))
-            self._flat = (np.arange(3)[:, None] * n + columns).ravel()
-            self._profiles = profiles[:, :, columns].reshape(
-                len(self.sources), len(self._flat))
-        drive = np.dot([source.waveform(t) for source in self.sources],
-                       self._profiles)
-        h = np.zeros((3, self.layout.n_cells)) if onto is None else onto
-        if self.static_field.any():
-            h += self.static_field[:, None]
-        h.put(self._flat, h.take(self._flat) + drive)
-        if onto is None and (m is None or self.layout.is_canvas(m)):
+        self._refresh()
+        waveforms = [source.waveform(t) for source in self.sources]
+        h = np.tensordot(np.array(waveforms, dtype=float), self._profiles,
+                         axes=1)
+        h += self.static_field[:, None]
+        if m is None or self.layout.is_canvas(m):
             return self.layout.unpack(h)
         return h
+
+    def folded(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
+        """The applied field at time ``t`` as a product ``columns @
+        rows``, for :class:`~repro.micromag.fields.exchange.ExchangeField`
+        to gather with the magnetisation.
+
+        ``rows`` ``(R, N)``: the unit region profile of each source
+        (one row for a ``direction x region`` profile, one per
+        component otherwise) and a row of ones for a non-zero bias;
+        the same array until the sources or the bias change.
+        ``columns`` ``(5, R)``: the cyclic direction of each row times
+        its source's ``waveform(t)``, and the bias.  Each waveform is
+        evaluated once per distinct time: the columns of the last two
+        times are kept, which covers the two new stage times of an RK4
+        step.
+        """
+        self._refresh()
+        for when, columns in self._recent:
+            if when == t:
+                return self._rows, columns
+        amplitudes = [source.waveform(t) for source in self.sources]
+        amplitudes.append(1.0)  # the bias row
+        columns = self._directions * np.array(amplitudes)[self._owners]
+        self._recent = self._recent[-1:] + [(t, columns)]
+        return self._rows, columns
 
     def energy_density(self, m: np.ndarray, t: float = 0.0,
                        ms: float = 1.0) -> np.ndarray:
@@ -93,3 +136,24 @@ class ZeemanField:
         """Total Zeeman energy [J]."""
         return float(np.sum(self.energy_density(m, t, ms))
                      * self.mesh.cell_volume)
+
+
+def _factor(profile: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(direction, row)`` pairs whose outer products sum to the packed
+    ``(3, N)`` ``profile``.
+
+    A ``direction x region`` profile (every
+    :class:`~repro.micromag.excitation.ExcitationSource`) is one exact
+    pair: its direction is a column of the profile and its region that
+    profile row divided by its component.  Any other profile gives one
+    pair per non-zero component.
+    """
+    if profile.size:
+        column = profile[:, np.argmax(np.abs(profile).sum(axis=0))]
+        component = int(np.argmax(np.abs(column)))
+        if column[component] != 0.0:
+            region = profile[component] / column[component]
+            if np.array_equal(np.multiply.outer(column, region), profile):
+                return [(column, region)]
+    return [(axis, row) for axis, row in zip(np.eye(3), profile)
+            if row.any()]

@@ -8,8 +8,12 @@ with ``m = M / Ms`` the unit magnetisation and ``H`` the effective field
 in A/m.  Spatially varying damping is supported (needed for absorbing
 boundary ramps); its two prefactors come from :func:`llg_coefficients`
 once per run, not per evaluation.  Every function here works on any
-``(3, ...)`` array: the simulation passes packed ``(3, N)`` states of
-the magnetic cells.  Integrators:
+``(3, ...)`` array or its cyclic ``(5, ...)`` form (:func:`cyclic`):
+the simulation steps cyclic packed ``(5, N)`` states of the magnetic
+cells.  The integrators advance a state in place through a right-hand
+side that returns each slope already scaled by its stage factor
+(:data:`RHSFunction`); they combine stages with whole-array operations,
+so a cyclic state stays cyclic.  Integrators:
 
 * :class:`RK4Integrator` -- fixed-step classical Runge-Kutta, the
   default for wave propagation runs where the step is set by the
@@ -29,14 +33,17 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .mesh import normalize_field
-from .. import obs
+from .. import _align, obs
 from ..constants import MU0
 from ..errors import NumericalDivergenceError
 from ..resilience import faults
 from ..resilience.guardrails import Watchdog
 
-#: RHS signature: (t, m) -> dm/dt
-RHSFunction = Callable[[float, np.ndarray], np.ndarray]
+#: RHS signature: ``(t, m, scale, out) -> out`` holding ``scale * dm/dt``
+#: of the state ``m`` at time ``t``, in the form of ``m`` (a cyclic
+#: state gets a cyclic slope).  The integrators pass their stage factor
+#: (``dt / 2``, ``dt``...) as ``scale`` and own ``out``.
+RHSFunction = Callable[[float, np.ndarray, float, np.ndarray], np.ndarray]
 
 #: Heartbeat signature: (t_new, dt_taken) after each accepted step.
 ProgressCallback = Callable[[float, float], None]
@@ -69,8 +76,9 @@ def _guard_step(watchdog: Optional[Watchdog], t: float, m: np.ndarray,
     """Per-step resilience hook shared by the three integrators.
 
     Runs *before* renormalisation so the watchdog sees the raw |m|
-    drift a blown-up step produces.  Costs two predicate checks per
-    step when no fault plan is armed and no watchdog is attached.
+    drift a blown-up step produces; it sees rows 0-2 of a cyclic state.
+    Costs two predicate checks per step when no fault plan is armed and
+    no watchdog is attached.
     """
     if faults.active():
         spec = faults.trip("llg.step")
@@ -81,7 +89,7 @@ def _guard_step(watchdog: Optional[Watchdog], t: float, m: np.ndarray,
             else:
                 m.flat[0] = np.nan
     if watchdog is not None:
-        watchdog.observe(t, m=m, mask=mask)
+        watchdog.observe(t, m=m[:3], mask=mask)
 
 
 def cyclic(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -140,28 +148,44 @@ def llg_rhs(m: np.ndarray, h_eff: np.ndarray, precession: np.ndarray,
         Effective field [A/m], same shape.
     precession, damping:
         The prefactors of :func:`llg_coefficients`, broadcastable
-        against one component of ``m``.
+        against ``m[:3]``.  Scaling both scales the slope: the
+        simulation folds each stage factor of its integrator into
+        them.
     out:
-        Optional output buffer.
+        Optional output buffer, ``(3, ...)`` or cyclic ``(5, ...)``.
 
     ``m`` and ``h_eff`` may also come in their cyclic ``(5, ...)``
     form, which spares copying them; a cyclic ``h_eff`` is then the
     workspace and holds ``precession H + damping (m x H)`` on return.
+    A cyclic ``out`` gets the cyclic slope.
 
     Returns
     -------
     numpy.ndarray
-        ``dm/dt`` [1/s].
+        ``dm/dt`` [1/s], in ``out`` when given.
     """
     if len(m) == 3:
         m = cyclic(m)
     h = h_eff if len(h_eff) == 5 else cyclic(h_eff)
-    torque = _cross(m, h, out)
+    # The two cross products of _cross share their views, each made
+    # once: at solver sizes making a view is a fair share of a
+    # whole-array operation.
+    m_yzx, m_zxy = m[1:4], m[2:5]
+    h_xyz, h_yzx, h_zxy = h[:3], h[1:4], h[2:5]
+    torque = np.multiply(m_yzx, h_zxy,
+                         out=None if out is None else out[:3])
+    torque -= m_zxy * h_yzx
     torque *= damping
-    h[:3] *= precession
-    h[:3] += torque
+    h_xyz *= precession
+    h_xyz += torque
     h[3:] = h[:2]
-    return _cross(m, h, torque)
+    np.multiply(m_yzx, h_zxy, out=torque)
+    torque -= m_zxy * h_yzx
+    if out is None:
+        return torque
+    if len(out) == 5:
+        out[3:] = out[:2]
+    return out
 
 
 class _Integrator:
@@ -180,12 +204,14 @@ class _Integrator:
         self._work: List[np.ndarray] = []
 
     def _buffers(self, m: np.ndarray, count: int) -> List[np.ndarray]:
-        """``count`` work arrays shaped like ``m``, reused from step to
-        step: stage states and scaled slopes, never returned."""
+        """``count`` cache-line aligned work arrays shaped like ``m``,
+        reused from step to step: stage states, slopes and sums, never
+        returned."""
         work = self._work
         if len(work) != count or work[0].shape != m.shape \
                 or work[0].dtype != m.dtype:
-            work = self._work = [np.empty_like(m) for _ in range(count)]
+            work = self._work = [_align.empty(m.shape, m.dtype)
+                                 for _ in range(count)]
         return work
 
     def _finish(self, t0: Optional[float], t: float, new: np.ndarray,
@@ -205,7 +231,11 @@ class RK4Integrator(_Integrator):
     """
 
     def step(self, t: float, m: np.ndarray, dt: float) -> np.ndarray:
-        """Advance ``m`` by one step of size ``dt``; returns the new state."""
+        """Advance ``m`` by one step of size ``dt`` in place; returns it.
+
+        When the step raises :class:`NumericalDivergenceError`, ``m``
+        holds the step that failed.
+        """
         if dt <= 0:
             raise ValueError("dt must be positive")
         t0 = time.perf_counter() if obs.enabled() else None
@@ -214,42 +244,42 @@ class RK4Integrator(_Integrator):
         timer = obs.PhaseTimer("llg.rk4") if t0 is not None else None
         s = timer.stamp() if timer is not None else 0
         half = dt / 2.0
-        # Each slope is folded into ``new`` (k1 + 2 k2 + 2 k3 + k4) and
-        # the next stage state before the next evaluation, so one stage
-        # buffer serves all three intermediate states.
-        stage, scaled = self._buffers(m, 2)
-        k = self.rhs(t, m)
+        # The slopes come back scaled by dt/2, dt/2, dt and dt/2, so a
+        # stage state is one add, and three times the increment
+        # dt/6 (k1 + 2 k2 + 2 k3 + k4) is their sum with weights 1, 2,
+        # 1 and 1, gathered in ``total`` (the first slope is written
+        # straight into it).
+        stage, slope, total = self._buffers(m, 3)
+        rhs = self.rhs
+        rhs(t, m, half, total)
         if timer is not None:
             s = timer.lap("k1", s)
-        new = k.copy()
-        np.multiply(k, half, out=stage)
-        stage += m
-        k = self.rhs(t + half, stage)
+        np.add(m, total, out=stage)
+        rhs(t + half, stage, half, slope)
         if timer is not None:
             s = timer.lap("k2", s)
-        new += np.multiply(k, 2.0, out=scaled)
-        np.multiply(k, half, out=stage)
-        stage += m
-        k = self.rhs(t + half, stage)
+        np.add(m, slope, out=stage)
+        total += slope
+        total += slope
+        rhs(t + half, stage, dt, slope)
         if timer is not None:
             s = timer.lap("k3", s)
-        new += np.multiply(k, 2.0, out=scaled)
-        np.multiply(k, dt, out=stage)
-        stage += m
-        k = self.rhs(t + dt, stage)
+        np.add(m, slope, out=stage)
+        total += slope
+        rhs(t + dt, stage, half, slope)
         if timer is not None:
             s = timer.lap("k4", s)
-        new += k
-        new *= dt / 6.0
-        new += m
-        _guard_step(self.watchdog, t + dt, new, self.mask)
+        total += slope
+        total *= 1.0 / 3.0
+        m += total
+        _guard_step(self.watchdog, t + dt, m, self.mask)
         if self.renormalize:
-            normalize_field(new, self.mask)
+            normalize_field(m, self.mask)
         if timer is not None:
             timer.lap("combine", s)
             timer.flush()
-        self._finish(t0, t + dt, new, dt)
-        return new
+        self._finish(t0, t + dt, m, dt)
+        return m
 
 
 class HeunIntegrator(_Integrator):
@@ -262,31 +292,32 @@ class HeunIntegrator(_Integrator):
     """
 
     def step(self, t: float, m: np.ndarray, dt: float) -> np.ndarray:
-        """One Heun step of size ``dt``."""
+        """One Heun step of size ``dt``, in place on ``m``; returns it."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         t0 = time.perf_counter() if obs.enabled() else None
         timer = obs.PhaseTimer("llg.heun") if t0 is not None else None
         s = timer.stamp() if timer is not None else 0
-        (predictor,) = self._buffers(m, 1)
-        k1 = self.rhs(t, m)
-        np.multiply(k1, dt, out=predictor)
-        predictor += m
+        predictor, k1, k2 = self._buffers(m, 3)
+        self.rhs(t, m, dt, k1)
+        np.add(m, k1, out=predictor)
         if self.renormalize:
             normalize_field(predictor, self.mask)
         if timer is not None:
             s = timer.lap("predictor", s)
-        new = k1 + self.rhs(t + dt, predictor)
-        new *= dt / 2.0
-        new += m
-        _guard_step(self.watchdog, t + dt, new, self.mask)
+        # m + dt/2 (f1 + f2), with k1 = dt f1 and k2 = dt/2 f2.
+        self.rhs(t + dt, predictor, dt / 2.0, k2)
+        k1 *= 0.5
+        k1 += k2
+        m += k1
+        _guard_step(self.watchdog, t + dt, m, self.mask)
         if self.renormalize:
-            normalize_field(new, self.mask)
+            normalize_field(m, self.mask)
         if timer is not None:
             timer.lap("corrector", s)
             timer.flush()
-        self._finish(t0, t + dt, new, dt)
-        return new
+        self._finish(t0, t + dt, m, dt)
+        return m
 
 
 # Dormand-Prince 5(4) Butcher tableau.
@@ -336,12 +367,13 @@ class RK45Integrator(_Integrator):
         self.rejected_steps = 0
 
     def step(self, t: float, m: np.ndarray, dt: float) -> Tuple[np.ndarray, float, float]:
-        """Attempt adaptive steps until one is accepted.
+        """Attempt adaptive steps until one is accepted; ``m`` is
+        advanced in place (a rejected attempt leaves it as it was).
 
         Returns
         -------
         tuple
-            ``(new_m, dt_taken, dt_next)``.
+            ``(m, dt_taken, dt_next)``.
 
         Raises
         ------
@@ -353,29 +385,25 @@ class RK45Integrator(_Integrator):
         timer = obs.PhaseTimer("llg.rk45") if t0 is not None else None
         rejected_before = self.rejected_steps
         dt = float(np.clip(dt, self.dt_min, self.dt_max))
-        stage, scaled = self._buffers(m, 2)
+        stage, scaled, m5, m4, *ks = self._buffers(m, 11)
         while True:
             s = timer.stamp() if timer is not None else 0
-            ks = []
+            # Each slope comes back scaled by dt.
             for i in range(7):
                 np.copyto(stage, m)
                 for j, aij in enumerate(_DP_A[i]):
                     if aij != 0.0:
-                        stage += np.multiply(ks[j], dt * aij, out=scaled)
-                ks.append(self.rhs(t + _DP_C[i] * dt, stage))
+                        stage += np.multiply(ks[j], aij, out=scaled)
+                self.rhs(t + _DP_C[i] * dt, stage, dt, ks[i])
             if timer is not None:
                 s = timer.lap("stages", s)
-            m5 = m.copy()
-            for bi, ki in zip(_DP_B5, ks):
-                if bi != 0.0:
-                    m5 += np.multiply(ki, dt * bi, out=scaled)
-            np.copyto(stage, m)
-            m4 = stage
-            for bi, ki in zip(_DP_B4, ks):
-                if bi != 0.0:
-                    m4 += np.multiply(ki, dt * bi, out=scaled)
+            for weights, total in ((_DP_B5, m5), (_DP_B4, m4)):
+                np.copyto(total, m)
+                for bi, ki in zip(weights, ks):
+                    if bi != 0.0:
+                        total += np.multiply(ki, bi, out=scaled)
             m4 -= m5
-            error = float(np.max(np.abs(m4, out=m4)))
+            error = float(np.max(np.abs(m4[:3], out=m4[:3])))
             if timer is not None:
                 s = timer.lap("combine", s)
             if not math.isfinite(error):
@@ -387,6 +415,7 @@ class RK45Integrator(_Integrator):
                 _guard_step(self.watchdog, t + dt, m5, self.mask)
                 if self.renormalize:
                     normalize_field(m5, self.mask)
+                np.copyto(m, m5)
                 # PI-free step-size update with safety factor 0.9.
                 if error > 0:
                     factor = 0.9 * (self.tolerance / error) ** 0.2
@@ -398,9 +427,9 @@ class RK45Integrator(_Integrator):
                 self.accepted_steps += 1
                 if timer is not None:
                     timer.flush()
-                self._finish(t0, t + dt, m5, dt,
+                self._finish(t0, t + dt, m, dt,
                              self.rejected_steps - rejected_before)
-                return m5, dt, dt_next
+                return m, dt, dt_next
             self.rejected_steps += 1
             dt = max(dt * max(0.9 * (self.tolerance / error) ** 0.2, 0.2),
                      self.dt_min)

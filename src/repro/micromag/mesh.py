@@ -270,23 +270,24 @@ def normalize_field(m: np.ndarray, mask: np.ndarray = None,
                     epsilon: float = 1e-30) -> np.ndarray:
     """Renormalise a vector field to unit length in place and return it.
 
-    ``m`` is a canvas ``(3, nz, ny, nx)`` or a packed ``(3, N)`` field.
-    Cells where the norm is ~0 (or outside ``mask``) are left at zero so
-    vacuum regions stay empty.
+    ``m`` is a canvas ``(3, nz, ny, nx)``, a packed ``(3, N)`` or a
+    cyclic packed ``(5, N)`` field (rows 3-4 repeating rows 0-1, the
+    solver's state): the norm comes from rows 0-2 and every row is
+    scaled, so a cyclic field stays cyclic.  Cells where the norm is ~0
+    (or outside ``mask``) are left at zero so vacuum regions stay empty.
     """
-    # Summing the squares row by row gives the numbers of
-    # np.sum(m * m, axis=0) without its reduction overhead, which
-    # dominates at solver sizes; the masked divide runs only when some
-    # cell is to be left at zero.
-    squares = m * m
-    norm = np.add(squares[0], squares[1], out=squares[0])
-    norm += squares[2]
+    # np.add.reduce over the three squared components gives the
+    # numbers of np.sum(m * m, axis=0) with less per-call overhead,
+    # and the minimum settles the common all-inside case in one pass;
+    # the masked divide runs only when some cell is to be left at zero.
+    squares = m[:3] * m[:3]
+    norm = np.add.reduce(squares, axis=0)
     np.sqrt(norm, out=norm)
+    if mask is None and norm.size and norm.min() > epsilon:
+        m *= np.divide(1.0, norm, out=norm)
+        return m
     inside = norm > epsilon
     if mask is not None:
         inside &= mask.astype(bool)
-    if inside.all():
-        m *= np.divide(1.0, norm, out=norm)
-    else:
-        m *= np.divide(1.0, norm, out=np.zeros_like(norm), where=inside)
+    m *= np.divide(1.0, norm, out=np.zeros_like(norm), where=inside)
     return m

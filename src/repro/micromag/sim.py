@@ -13,11 +13,14 @@ Typical use (see examples/micromagnetic_interference.py)::
     sim.add_probe(Probe("O1", output_region))
     sim.run(duration=2e-9, dt=2e-13)
 
-The time loops step a *packed* state, ``(3, N)`` over the N magnetic
-cells of the mask (:class:`~repro.micromag.mesh.CellLayout`); the
+The time loops step a *packed* state over the N magnetic cells of the
+mask (:class:`~repro.micromag.mesh.CellLayout`) in its cyclic
+``(5, N)`` form, rows 3-4 repeating rows 0-1
+(:func:`~repro.micromag.llg.cyclic`): the integrators combine stages
+as whole arrays, so the cyclic rows stay valid without copies.  The
 canvas ``(3, nz, ny, nx)`` magnetisation :attr:`Simulation.m` is
-unpacked from it only at the edges -- after a run, for snapshots and
-for checkpoints -- and is zero in vacuum.
+unpacked from rows 0-2 only at the edges -- after a run, for snapshots
+and for checkpoints -- and is zero in vacuum.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import _align
 from ..errors import CheckpointError
 from ..physics.materials import Material
 from ..resilience.checkpoint import (
@@ -53,6 +57,13 @@ from .llg import (
 )
 from .mesh import CellLayout, Mesh, normalize_field
 from .probes import Probe
+
+
+def _add_cyclic(h: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Add a packed ``(3, N)`` field to a cyclic ``(5, N)`` one."""
+    h[:3] += field
+    h[3:] += field[:2]
+    return h
 
 
 @dataclass
@@ -128,14 +139,16 @@ class Simulation:
             self.demag = None
         else:
             raise ValueError("demag must be 'full', 'thin_film' or 'none'")
-        # The local linear terms (anisotropy, thin-film demag) are folded
-        # into the exchange operator; only the Newell demag stays apart.
+        # The local linear terms (anisotropy, thin-film demag) and the
+        # applied field are folded into the exchange operator; only the
+        # Newell demag stays apart.
         terms = [term for term in (self.anisotropy, self.demag)
                  if term is not None]
         self.exchange = ExchangeField(
             mesh, material.aex, material.ms, self.mask,
             onsite=sum((term.tensor for term in terms
-                        if hasattr(term, "tensor")), np.zeros((3, 3))))
+                        if hasattr(term, "tensor")), np.zeros((3, 3))),
+            drive=self.zeeman)
         self._nonlocal = [term for term in terms
                           if not hasattr(term, "tensor")]
         self.thermal = (
@@ -192,44 +205,67 @@ class Simulation:
                         out: Optional[np.ndarray] = None) -> np.ndarray:
         """Total effective field H_eff(m, t) [A/m].
 
-        Packed ``m`` ``(3, N)`` gives the packed field (into ``out`` when
-        given); a canvas ``m`` gives a canvas field, zero in vacuum.
-        The exchange operator carries the folded local terms; the
-        Newell demag and the thermal noise are added to it, and the
-        Zeeman drive on the source columns only.
+        A cyclic packed ``m`` ``(5, N)`` -- the time loops' state --
+        gives the cyclic field, into ``out`` when given: one exchange
+        product carries the folded local terms and the applied field,
+        and the Newell demag and the thermal noise are added to it.  A
+        packed ``(3, N)`` ``m`` gives the packed field (into ``out``
+        when given), a canvas ``m`` a canvas field, zero in vacuum.
         """
         if self.layout.is_canvas(m):
             return self.layout.unpack(
                 self.effective_field(self.layout.pack(m), t))
-        h = self.exchange.field(m, out=out)
+        if len(m) == 3:
+            h = self.effective_field(cyclic(m), t)[:3]
+            if out is None:
+                return h
+            out[...] = h
+            return out
+        h = self.exchange.field(m, out=out, t=t)
         for term in self._nonlocal:
-            h += term.field(m)
-        self.zeeman.field(m, t, onto=h)
+            _add_cyclic(h, term.field(m[:3]))
         if self.thermal is not None:
-            h += self.thermal.field(m)
+            _add_cyclic(h, self.thermal.field(m[:3]))
         return h
 
     def derivative(self, alpha: Optional[np.ndarray] = None) -> RHSFunction:
-        """The LLG right-hand side ``f(t, m) = dm/dt`` of packed states.
+        """The LLG right-hand side of cyclic packed states (see
+        :data:`~repro.micromag.llg.RHSFunction`): ``rhs(t, m, scale,
+        out)`` writes ``scale * dm/dt`` into the cyclic ``out``.
 
         ``alpha`` is a canvas damping profile (default :attr:`alpha`);
-        its LLG prefactors are fixed here, once.  The state and the
-        effective field fill two reused cyclic buffers (see
-        :func:`~repro.micromag.llg.cyclic`); each call returns a fresh
-        array, since an integrator keeps several slopes alive.
+        its LLG prefactors are fixed here, once, and scaled by each
+        stage factor the integrator asks for (a fixed-step run asks
+        for the same few every step).  They are kept as ``(3, N)``
+        arrays, since NumPy multiplies equal shapes faster than it
+        broadcasts a row.  The effective field fills one reused cyclic
+        buffer.
         """
         precession, damping = llg_coefficients(
             self.material.gamma,
             self.layout.pack(self.alpha if alpha is None else alpha))
-        m5 = np.empty((5, self.layout.n_cells))
-        h5 = np.empty_like(m5)
+        shape = (3, self.layout.n_cells)
+        h = _align.empty((5, self.layout.n_cells))
+        scaled: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 
-        def rhs(t: float, m: np.ndarray) -> np.ndarray:
-            cyclic(m, out=m5)
-            self.effective_field(m, t, out=h5[:3])
-            h5[3:] = h5[:2]
-            return llg_rhs(m5, h5, precession, damping)
+        def rhs(t: float, m: np.ndarray, scale: float,
+                out: np.ndarray) -> np.ndarray:
+            coefficients = scaled.get(scale)
+            if coefficients is None:
+                if len(scaled) >= 8:  # an adaptive run's ever new dt
+                    scaled.clear()
+                coefficients = scaled[scale] = (
+                    _align.aligned(np.broadcast_to(precession * scale,
+                                                   shape)),
+                    _align.aligned(np.broadcast_to(damping * scale, shape)))
+            self.effective_field(m, t, out=h)
+            return llg_rhs(m, h, *coefficients, out=out)
         return rhs
+
+    def _cyclic_state(self) -> np.ndarray:
+        """The packed magnetisation as a fresh aligned cyclic state."""
+        return cyclic(self.layout.pack(self.m),
+                      out=_align.empty((5, self.layout.n_cells)))
 
     def total_energy(self) -> float:
         """Sum of all energy terms at the current state [J]."""
@@ -287,10 +323,10 @@ class Simulation:
         stepper = HeunIntegrator if self.thermal is not None else RK4Integrator
         integrator = stepper(self.derivative(), watchdog=watchdog)
         layout = self.layout
-        m = layout.pack(self.m)
+        m = self._cyclic_state()
 
         def state() -> Tuple[Dict[str, np.ndarray], Dict[str, float]]:
-            self.m = layout.unpack(m)
+            self.m = layout.unpack(m[:3])
             return self.state_dict()
 
         pending = sorted(snapshot_times) if snapshot_times else []
@@ -301,17 +337,17 @@ class Simulation:
             for step in range(n_steps):
                 if self.thermal is not None:
                     self.thermal.refresh(dt, step)
-                m = integrator.step(self.t, m, dt)
+                integrator.step(self.t, m, dt)
                 self.t += dt
                 if (step + 1) % sample_every == 0:
                     for probe in self.probes:
                         probe.record(self.t, m)
                 while pending and self.t >= pending[0] - dt / 2.0:
-                    snapshots[pending.pop(0)] = layout.unpack(m)
+                    snapshots[pending.pop(0)] = layout.unpack(m[:3])
                 if checkpoint is not None:
                     checkpoint.maybe_save(step + 1, state)
         finally:
-            self.m = layout.unpack(m)
+            self.m = layout.unpack(m[:3])
         return {"result": RunResult(t_final=self.t, n_steps=n_steps),
                 "snapshots": snapshots}
 
@@ -357,21 +393,23 @@ class Simulation:
         self.zeeman.sources.clear()
         rhs = self.derivative(np.full(self.mesh.scalar_shape, high_damping))
         integrator = RK45Integrator(rhs, tolerance=1e-4, dt_max=5e-12)
-        m = self.layout.pack(self.m)
+        m = self._cyclic_state()
+        slope = np.empty_like(m)
         try:
             dt = dt0
             t_start = self.t
             steps = 0
             while self.t - t_start < max_time:
-                m, taken, dt = integrator.step(self.t, m, dt)
+                _, taken, dt = integrator.step(self.t, m, dt)
                 self.t += taken
                 steps += 1
                 if steps % 10 == 0:
-                    torque = float(np.max(np.abs(rhs(self.t, m))))
+                    rhs(self.t, m, 1.0, slope)
+                    torque = float(np.max(np.abs(slope[:3])))
                     if torque * 1e-9 < tolerance:
                         break
             return RunResult(t_final=self.t, n_steps=steps,
                              wall_steps_rejected=integrator.rejected_steps)
         finally:
-            self.m = self.layout.unpack(m)
+            self.m = self.layout.unpack(m[:3])
             self.zeeman.sources = saved_sources

@@ -106,14 +106,16 @@ class TestRhs:
 
 
 class _ConstantFieldRHS:
-    """dm/dt for a fixed uniform field (analytic macrospin problem)."""
+    """dm/dt for a fixed uniform field (analytic macrospin problem), in
+    the integrators' form: ``scale * dm/dt`` written into ``out``."""
 
     def __init__(self, h_field, alpha):
         self.h = h_field
         self.coefficients = llg_coefficients(GAMMA_LL, alpha)
 
-    def __call__(self, t, m):
-        return llg_rhs(m, self.h, *self.coefficients)
+    def __call__(self, t, m, scale, out):
+        return np.multiply(llg_rhs(m, self.h, *self.coefficients), scale,
+                           out=out)
 
 
 class TestIntegrators:

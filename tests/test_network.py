@@ -65,6 +65,29 @@ class TestGraphMechanics:
         with pytest.raises(ValueError, match="cycle"):
             net.propagate({"A": 1.0})
 
+    def test_mutated_graph_is_reordered(self):
+        # The order is kept between propagations; each new node or edge
+        # must drop it, or the new paths would never be walked.
+        net = WaveNetwork(F, LAM)
+        net.add_edge("B", "O", LAM)
+        assert net.propagate({"B": 1.0})["O"] == pytest.approx(1.0)
+        assert net._topological_order() is net._topological_order()
+        net.add_edge("A", "B", LAM)
+        assert abs(net.propagate({"A": 1.0})["O"]) == pytest.approx(1.0)
+        net.add_node("Z")
+        env = net.propagate({"Z": 0.5, "A": 1.0})
+        assert env["Z"] == 0.5
+        assert abs(env["O"]) == pytest.approx(1.0)
+
+    def test_cycle_added_after_propagation_detected(self):
+        net = WaveNetwork(F, LAM)
+        net.add_edge("A", "B", LAM)
+        net.propagate({"A": 1.0})
+        net.add_edge("B", "A", LAM)
+        for _ in range(2):  # a failed ordering is not kept either
+            with pytest.raises(ValueError, match="cycle"):
+                net.propagate({"A": 1.0})
+
     def test_unknown_injection_node(self):
         net = WaveNetwork(F, LAM)
         net.add_edge("A", "B", LAM)

@@ -355,7 +355,11 @@ class TestInstrumentedSolvers:
 
         m = np.zeros((3, 1, 1, 4))
         m[2] = 1.0
-        rhs = lambda t, y: np.zeros_like(y)  # noqa: E731
+
+        def rhs(t, y, scale, out):
+            out.fill(0.0)
+            return out
+
         beats = []
         integ = RK4Integrator(rhs, progress=lambda t, dt: beats.append(t))
         obs.enable()

@@ -30,6 +30,7 @@ from repro.micromag import (
     Simulation,
     rectangle,
 )
+from repro.micromag.llg import cyclic
 from repro.physics import FECOB
 
 REL = 1e-12
@@ -84,6 +85,15 @@ def _canvas_rhs(sim, m, t):
     damping = np.cross(m, precession, axis=0)
     prefactor = -sim.material.gamma * MU0 / (1.0 + alpha ** 2)
     return prefactor * (precession + alpha * damping)
+
+
+def _slope(sim, packed, t):
+    """dm/dt of a packed ``(3, N)`` state through ``sim.derivative()``,
+    which steps cyclic ``(5, N)`` states; its slope must be cyclic."""
+    state = cyclic(packed)
+    slope = sim.derivative()(t, state, 1.0, np.empty_like(state))
+    np.testing.assert_array_equal(slope[3:], slope[:2])
+    return slope[:3]
 
 
 def _random_state(rng, mesh, mask):
@@ -182,7 +192,7 @@ class TestAgainstCanvasReference:
                 direction=tuple(rng.normal(size=3))))
         m = _random_state(rng, mesh, mask)
         reference = sim.layout.pack(_canvas_rhs(sim, m, t))
-        packed = sim.derivative()(t, sim.layout.pack(m))
+        packed = _slope(sim, sim.layout.pack(m), t)
         scale = max(float(np.max(np.abs(reference))), 1.0)
         assert np.max(np.abs(packed - reference)) <= REL * scale
 
@@ -238,7 +248,7 @@ class TestFusedField:
 
         want = sim.layout.pack(_canvas_rhs(sim, m, t))
         scale = max(float(np.max(np.abs(want))), 1.0)
-        got = sim.derivative()(t, packed)
+        got = _slope(sim, packed, t)
         assert np.max(np.abs(got - want)) <= REL * scale
 
 
@@ -249,14 +259,18 @@ class TestBufferedStep:
         sim = Simulation(_mesh(STRIP), _tilted_material(rng), mask=STRIP,
                          demag="thin_film", external_field=(0, 0, 1e4))
         _add_sources(sim, rng, 2)
-        return sim, sim.layout.pack(_random_state(rng, sim.mesh, STRIP))
+        return sim, cyclic(sim.layout.pack(
+            _random_state(rng, sim.mesh, STRIP)))
 
     def test_successive_slopes_are_distinct_arrays(self):
+        # The RHS writes each slope into the buffer it is handed, never
+        # into its own workspace: a slope survives the next call.
         sim, m = self._sim()
         rhs = sim.derivative()
-        first = rhs(1e-11, m)
+        first = rhs(1e-11, m, 1.0, np.empty_like(m))
         kept = first.copy()
-        second = rhs(2e-11, m + 0.1 * first / np.max(np.abs(first)))
+        second = rhs(2e-11, m + 0.1 * first / np.max(np.abs(first)), 1.0,
+                     np.empty_like(m))
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, kept)
 
@@ -265,19 +279,22 @@ class TestBufferedStep:
         rhs = sim.derivative()
         dt = 2e-14
 
+        def f(t, y):
+            return rhs(t, y, 1.0, np.empty_like(y))
+
         def reference(t, y):
-            k1 = rhs(t, y)
-            k2 = rhs(t + dt / 2, y + dt / 2 * k1)
-            k3 = rhs(t + dt / 2, y + dt / 2 * k2)
-            k4 = rhs(t + dt, y + dt * k3)
+            k1 = f(t, y)
+            k2 = f(t + dt / 2, y + dt / 2 * k1)
+            k3 = f(t + dt / 2, y + dt / 2 * k2)
+            k4 = f(t + dt, y + dt * k3)
             new = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            return new / np.linalg.norm(new, axis=0)
+            return new / np.linalg.norm(new[:3], axis=0)
 
         integrator = RK4Integrator(rhs)
-        got, want = m, m
+        got, want = m.copy(), m
         for step in range(3):  # later steps reuse the stage buffers
             t = step * dt
-            got = integrator.step(t, got, dt)
+            assert integrator.step(t, got, dt) is got  # in place
             want = reference(t, want)
             assert np.max(np.abs(got - want)) <= REL
 
@@ -339,7 +356,13 @@ class TestThroughputGauge:
         mask[0, 0, :3] = True
         m = np.zeros((3, 1, 2, 5))
         m[2][mask] = 1.0
-        integrator = RK4Integrator(lambda t, y: np.zeros_like(y), mask=mask)
+        integrator = RK4Integrator(_still, mask=mask)
         obs.enable()
         integrator.step(0.0, m, 1e-14)
         assert self._cells_per_step() == pytest.approx(3)
+
+
+def _still(t, m, scale, out):
+    """A right-hand side with no torque."""
+    out.fill(0.0)
+    return out

@@ -418,8 +418,12 @@ class TestLlgResilience:
         mask = np.ones((1, 2, 2), dtype=bool)
         m = np.zeros((3, 1, 2, 2))
         m[2] = 1.0
-        integrator = RK4Integrator(lambda t, field: np.zeros_like(field),
-                                   mask=mask,
+
+        def still(t, field, scale, out):
+            out.fill(0.0)
+            return out
+
+        integrator = RK4Integrator(still, mask=mask,
                                    watchdog=MagnetisationWatchdog(every=1))
         m = integrator.step(0.0, m, 1e-14)
         m = integrator.step(1e-14, m, 1e-14)
@@ -433,9 +437,10 @@ class TestLlgResilience:
         # rejection loop never exit.  One attempt (7 stages) must do.
         calls = []
 
-        def rhs(t, m):
+        def rhs(t, m, scale, out):
             calls.append(t)
-            return np.full_like(m, np.nan)
+            out.fill(np.nan)
+            return out
 
         m = np.zeros((3, 4))
         m[2] = 1.0
